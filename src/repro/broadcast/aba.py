@@ -42,41 +42,55 @@ class _Round:
     """Per-round message state."""
 
     __slots__ = ("bval_sent", "bval_recv", "bin_values", "bin_order",
-                 "aux_sent", "aux_recv", "advanced")
+                 "aux_sent", "aux_recv", "aux_count", "advanced")
 
     def __init__(self) -> None:
         self.bval_sent: set[int] = set()
-        self.bval_recv: dict[int, set[int]] = {0: set(), 1: set()}
+        self.bval_recv: list[set[int]] = [set(), set()]
         self.bin_values: set[int] = set()
         self.bin_order: list[int] = []
         self.aux_sent = False
         self.aux_recv: dict[int, int] = {}
+        self.aux_count = [0, 0]
+        """AUX senders per value; a sender's first AUX of the round counts."""
         self.advanced = False
 
 
 @register_session("aba")
 class BinaryAgreement(Session):
-    """One endpoint of an MMR binary-agreement instance."""
+    """One endpoint of an MMR binary-agreement instance.
+
+    Thresholds are fixed per session, so they are computed once here.
+    :meth:`_try_progress` runs only when its outcome can change — the
+    proposal, a new ``bin_values`` entry, or a new AUX in the current
+    round — and is otherwise a no-op, so skipping it keeps every send in
+    place.
+    """
 
     def __init__(self, host, sid) -> None:
         super().__init__(host, sid)
+        t = self.t
+        self._relay = t + 1
+        self._quorum = 2 * t + 1
+        self._aux_quorum = self.n - t
         self.est: Optional[int] = None
         self.round = 0
         self.rounds: dict[int, _Round] = {}
         self.decided: Optional[int] = None
-        self.decide_recv: dict[int, set[int]] = {0: set(), 1: set()}
+        self.decide_recv: list[set[int]] = [set(), set()]
         self.decide_sent = False
 
     def _round(self, r: int) -> _Round:
-        if r not in self.rounds:
-            self.rounds[r] = _Round()
-        return self.rounds[r]
+        state = self.rounds.get(r)
+        if state is None:
+            state = self.rounds[r] = _Round()
+        return state
 
     # -- input -----------------------------------------------------------------
 
     def propose(self, value: int) -> None:
         """Supply this party's input bit (idempotent; first call wins)."""
-        if value not in (0, 1):
+        if type(value) is not int or value not in (0, 1):
             raise ProtocolError(f"ABA input must be a bit, got {value!r}")
         if self.est is not None:
             return
@@ -93,33 +107,45 @@ class BinaryAgreement(Session):
             self.send_all(("bval", r, v))
 
     def handle(self, sender: int, payload: Any) -> None:
+        # A Byzantine peer can put anything under an ABA sid: a payload of
+        # the wrong type or arity, a non-int round or a value other than
+        # the int 0 or 1 is noise, ignored like any other message honest
+        # parties never send.
+        if type(payload) is not tuple or not payload:
+            return
         kind = payload[0]
-        if kind == "bval":
+        if kind == "bval" or kind == "aux":
+            if len(payload) != 3:
+                return
             _, r, v = payload
-            if v not in (0, 1):
+            if type(r) is not int or type(v) is not int or v not in (0, 1):
                 return
             state = self._round(r)
-            state.bval_recv[v].add(sender)
-            if len(state.bval_recv[v]) >= self.t + 1:
-                self._send_bval(r, v)  # amplification (safe pre-proposal too)
-            if len(state.bval_recv[v]) >= 2 * self.t + 1:
-                if v not in state.bin_values:
+            if kind == "bval":
+                holders = state.bval_recv[v]
+                holders.add(sender)
+                count = len(holders)
+                if count >= self._relay:
+                    self._send_bval(r, v)  # amplification (safe pre-proposal too)
+                if count >= self._quorum and v not in state.bin_values:
                     state.bin_values.add(v)
                     state.bin_order.append(v)
-            self._try_progress(r)
-        elif kind == "aux":
-            _, r, v = payload
-            if v in (0, 1) and sender not in self._round(r).aux_recv:
-                self._round(r).aux_recv[sender] = v
-            self._try_progress(r)
+                    self._try_progress(r)
+            elif sender not in state.aux_recv:
+                state.aux_recv[sender] = v
+                state.aux_count[v] += 1
+                self._try_progress(r)
         elif kind == "decide":
-            _, v = payload
-            if v not in (0, 1):
+            if len(payload) != 2:
                 return
-            self.decide_recv[v].add(sender)
-            if len(self.decide_recv[v]) >= self.t + 1:
+            _, v = payload
+            if type(v) is not int or v not in (0, 1):
+                return
+            holders = self.decide_recv[v]
+            holders.add(sender)
+            if len(holders) >= self._relay:
                 self._broadcast_decide(v)
-            if len(self.decide_recv[v]) >= 2 * self.t + 1:
+            if len(holders) >= self._quorum:
                 self.decided = v
                 self.finish(v)
 
@@ -131,19 +157,18 @@ class BinaryAgreement(Session):
         if r != self.round:
             return
         state = self._round(r)
-        if not state.aux_sent and state.bin_values:
+        if not state.aux_sent:
+            if not state.bin_values:
+                return
             state.aux_sent = True
             self.send_all(("aux", r, state.bin_order[0]))
-        if not state.aux_sent or state.advanced:
+        if state.advanced:
             return
-        valid = {
-            sender: v
-            for sender, v in state.aux_recv.items()
-            if v in state.bin_values
-        }
-        if len(valid) < self.n - self.t:
+        # AUX messages count only for values already in bin_values.
+        counts = state.aux_count
+        if sum(counts[v] for v in state.bin_order) < self._aux_quorum:
             return
-        vals = set(valid.values())
+        vals = [v for v in state.bin_order if counts[v]]
         coin = coin_value(self.config("coin_seed"), (self.sid, r))
         state.advanced = True
         if len(vals) == 1:

@@ -91,8 +91,10 @@ class Session:
 
     def send_all(self, payload: Any) -> None:
         """Send to every peer, including ourselves (simplifies thresholds)."""
-        for peer in self.peers:
-            self.send(peer, payload)
+        host, sid = self.host, self.sid
+        session_send = host.session_send
+        for peer in host.peers:
+            session_send(sid, peer, payload)
 
     def finish(self, result: Any) -> None:
         """Record this session's result and notify subscribers (idempotent)."""
@@ -175,12 +177,15 @@ class SessionHost(Process):
     # -- messaging plumbing ------------------------------------------------------
 
     def session_send(self, sid: tuple, recipient: int, payload: Any) -> None:
-        if self._ctx is None:
+        """Every session message leaves through here (deviations override
+        it to censor or rewrite a host's traffic)."""
+        ctx = self._ctx
+        if ctx is None:
             # Sends can be triggered before/outside an activation (e.g. by a
             # driver callback); they are flushed on the next activation.
             self._pending_sends.append((sid, recipient, payload))
             return
-        self._ctx.send(recipient, (sid, payload))
+        ctx.send(recipient, (sid, payload))
 
     def current_rng(self):
         if self._ctx is None:
@@ -188,8 +193,6 @@ class SessionHost(Process):
         return self._ctx.rng
 
     def _flush_pending(self) -> None:
-        if not self._pending_sends:
-            return
         pending, self._pending_sends = self._pending_sends, []
         for sid, recipient, payload in pending:
             self._ctx.send(recipient, (sid, payload))
@@ -201,27 +204,30 @@ class SessionHost(Process):
         try:
             if self.on_ready is not None:
                 self.on_ready(self)
-            self._flush_pending()
+            if self._pending_sends:
+                self._flush_pending()
         finally:
             self._ctx = None
 
     def on_message(self, ctx: Context, sender: int, payload: Any) -> None:
         self._ctx = ctx
         try:
-            self._flush_pending()
+            if self._pending_sends:
+                self._flush_pending()
             if (
-                not isinstance(payload, tuple)
-                or len(payload) != 2
-                or not isinstance(payload[0], tuple)
+                isinstance(payload, tuple)
+                and len(payload) == 2
+                and isinstance(payload[0], tuple)
             ):
+                sid, inner = payload
+                session = self.sessions.get(sid)
+                if session is None:
+                    session = self.open_session(sid)
+                session.handle(sender, inner)
+                if self._pending_sends:
+                    self._flush_pending()
+            else:
                 self.on_plain_message(ctx, sender, payload)
-                return
-            sid, inner = payload
-            session = self.sessions.get(sid)
-            if session is None:
-                session = self.open_session(sid)
-            session.handle(sender, inner)
-            self._flush_pending()
         finally:
             self._ctx = None
 

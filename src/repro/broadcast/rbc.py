@@ -58,7 +58,16 @@ class ReliableBroadcast(Session):
             self.send_all(("init", value))
 
     def handle(self, sender: int, payload: Any) -> None:
+        # A Byzantine peer can put anything under an RBC sid: a payload of
+        # the wrong type or arity, or an unhashable value (values key the
+        # echo/ready tallies), is noise and ignored.
+        if type(payload) is not tuple or len(payload) != 2:
+            return
         kind, value = payload
+        try:
+            hash(value)
+        except TypeError:
+            return
         if kind == "init":
             if sender != self.dealer or self.sent_echo:
                 return  # forged or duplicate init: ignore

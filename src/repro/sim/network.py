@@ -8,18 +8,20 @@ messages (Section 6.1). Scheduler code therefore only ever sees
 those by hand) or through a :class:`TransitView`, the zero-copy facade the
 kernel hands to schedulers.
 
-The pool is *indexed*: besides the master uid → message map (whose keys are
-always in ascending uid order, because uids are assigned monotonically and
-``dict`` preserves insertion order), the network maintains per-recipient,
-per-sender, and per-batch buckets. Each bucket is an insertion-ordered dict
-as well, so "the oldest message to recipient r" is ``next(iter(bucket))`` —
-O(1) — instead of a scan over a freshly materialized list. Schedulers use
-these through :class:`TransitView`; the old list-building accessors remain
-for tests and cold paths.
+The pool is *indexed*: besides the master uid → message map, the network
+keeps the in-transit uids in an ascending list (so "the k-th oldest
+message" — a random scheduler's draw — is one index) and maintains
+per-recipient, per-sender, and per-batch buckets. Each bucket is an
+insertion-ordered dict kept in ascending uid order, so "the oldest message
+to recipient r" is ``next(iter(bucket))`` — O(1) — instead of a scan over a
+freshly materialized list. Schedulers use these through
+:class:`TransitView`; the old list-building accessors remain for tests and
+cold paths.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Optional, Union
 
@@ -72,10 +74,10 @@ class TransitView:
 
     Behaves as a ``Sequence[MessageView]`` (``len``/iteration/indexing) so
     legacy scheduler code keeps working, and exposes indexed queries —
-    :meth:`min_uid`, :meth:`oldest_to`, :meth:`oldest_from`,
-    :meth:`oldest_in_batch` — that answer in O(1) from the network's
-    buckets. Schedulers should prefer the indexed queries; payloads are
-    never reachable through this object.
+    :meth:`min_uid`, :meth:`nth_uid`, :meth:`oldest_to`,
+    :meth:`oldest_from`, :meth:`oldest_in_batch` — that answer in O(1) from
+    the network's sorted uid list and buckets. Schedulers should prefer the
+    indexed queries; payloads are never reachable through this object.
     """
 
     __slots__ = ("_net",)
@@ -92,23 +94,28 @@ class TransitView:
         return bool(self._net._in_transit)
 
     def __iter__(self) -> Iterator[MessageView]:
-        return (m.view() for m in self._net._in_transit.values())
+        return (m.view() for m in self._net.in_transit())
 
     def __getitem__(self, index):
-        msgs = list(self._net._in_transit.values())
+        net = self._net
         if isinstance(index, slice):
-            return [m.view() for m in msgs[index]]
-        return msgs[index].view()
+            return [net._in_transit[uid].view() for uid in net._uids[index]]
+        return net._in_transit[net._uids[index]].view()
 
     # -- indexed queries -----------------------------------------------------
 
-    def uids(self):
-        """All in-transit uids, ascending (send order)."""
-        return self._net._in_transit.keys()
+    def uids(self) -> list[int]:
+        """All in-transit uids, ascending (send order). Do not mutate."""
+        return self._net._uids
 
     def min_uid(self) -> Optional[int]:
         """Oldest in-transit uid, or None when the pool is empty."""
-        return next(iter(self._net._in_transit), None)
+        uids = self._net._uids
+        return uids[0] if uids else None
+
+    def nth_uid(self, index: int) -> int:
+        """The ``index``-th oldest in-transit uid (0 is the oldest)."""
+        return self._net._uids[index]
 
     def recipients(self):
         """Recipients with at least one in-transit message."""
@@ -168,6 +175,9 @@ class Network:
         self._next_uid = 0
         self._next_batch = 0
         self._in_transit: dict[int, Message] = {}
+        self._uids: list[int] = []
+        """In-transit uids, ascending: appended on send (uids only grow),
+        bisected out on removal, insorted on reinstatement."""
         self._by_recipient: dict[int, dict[int, Message]] = {}
         self._by_sender: dict[int, dict[int, Message]] = {}
         self._by_batch: dict[int, dict[int, Message]] = {}
@@ -187,16 +197,10 @@ class Network:
         self, sender: int, recipient: int, payload: Any, step: int, batch: int
     ) -> Message:
         uid = self._next_uid
-        msg = Message(
-            uid=uid,
-            sender=sender,
-            recipient=recipient,
-            payload=payload,
-            send_step=step,
-            batch=batch,
-        )
+        msg = Message(uid, sender, recipient, payload, step, batch)
         self._next_uid = uid + 1
         self._in_transit[uid] = msg
+        self._uids.append(uid)
         by_r = self._by_recipient
         if recipient in by_r:
             by_r[recipient][uid] = msg
@@ -221,6 +225,8 @@ class Network:
 
     def _remove(self, uid: int) -> Message:
         msg = self._in_transit.pop(uid)
+        uids = self._uids
+        del uids[bisect_left(uids, uid)]
         bucket = self._by_recipient[msg.recipient]
         del bucket[uid]
         if not bucket:
@@ -284,22 +290,23 @@ class Network:
         """Put previously withdrawn messages back into the pool.
 
         Reinstated uids are older than anything sent since they were
-        withdrawn, so the master map and every touched bucket are
-        re-sorted to restore the ascending-uid iteration order that
-        :meth:`TransitView.min_uid` and the oldest-first queries rely on.
+        withdrawn, so they are insorted into the uid list and every touched
+        bucket is re-sorted to restore the ascending-uid order that
+        :meth:`TransitView.min_uid`, :meth:`TransitView.nth_uid` and the
+        oldest-first queries rely on.
         """
         msgs = sorted(messages, key=lambda m: m.uid)
         if not msgs:
             return
         for msg in msgs:
             self._in_transit[msg.uid] = msg
+            insort(self._uids, msg.uid)
             self._by_recipient.setdefault(msg.recipient, {})[msg.uid] = msg
             self._by_sender.setdefault(msg.sender, {})[msg.uid] = msg
             self._by_batch.setdefault(msg.batch, {})[msg.uid] = msg
             if msg.sender == msg.recipient:
                 count = self._self_counts.get(msg.sender, 0)
                 self._self_counts[msg.sender] = count + 1
-        self._in_transit = dict(sorted(self._in_transit.items()))
         for msg in msgs:
             by_r = self._by_recipient[msg.recipient]
             self._by_recipient[msg.recipient] = dict(sorted(by_r.items()))
@@ -318,10 +325,12 @@ class Network:
         return self._in_transit.get(uid)
 
     def in_transit(self) -> list[Message]:
-        return list(self._in_transit.values())
+        """In-transit messages, oldest first."""
+        in_transit = self._in_transit
+        return [in_transit[uid] for uid in self._uids]
 
     def in_transit_views(self) -> list[MessageView]:
-        return [m.view() for m in self._in_transit.values()]
+        return [m.view() for m in self.in_transit()]
 
     def in_transit_to(self, recipient: int) -> list[Message]:
         return list(self._by_recipient.get(recipient, {}).values())

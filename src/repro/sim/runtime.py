@@ -129,9 +129,10 @@ class Runtime:
         self._rngs: dict[int, Any] = {}
         self._step = 0
         self._env_sent = 0
-        self._current_batch = 0
-        self._delivered_batches: set[int] = set()
         self._mediator_batches: set[int] = set()
+        self._delivered_mediator_batches: set[int] = set()
+        """Mediator batches with a delivered message: the only batches the
+        all-or-none rule asks about, so the only ones worth recording."""
 
     # -- services used by Context -------------------------------------------
 
@@ -491,10 +492,7 @@ class Runtime:
             if view.sender == ENVIRONMENT_PID:
                 if view.recipient not in self.halted:
                     candidates.append(view.uid)
-            elif (
-                view.batch in self._mediator_batches
-                and view.batch in self._delivered_batches
-            ):
+            elif view.batch in self._delivered_mediator_batches:
                 candidates.append(view.uid)
         if not candidates:
             return None
@@ -510,55 +508,51 @@ class Runtime:
             for view in views.from_sender(ENVIRONMENT_PID)
             if view.recipient not in self.halted
         ]
-        for batch in sorted(self._mediator_batches):
-            if batch in self._delivered_batches:
-                uid = views.oldest_in_batch(batch)
-                if uid is not None:
-                    candidates.append(uid)
+        for batch in sorted(self._delivered_mediator_batches):
+            uid = views.oldest_in_batch(batch)
+            if uid is not None:
+                candidates.append(uid)
         if not candidates:
             return None
         return min(candidates)
 
     def _deliver(self, uid: int) -> None:
+        network = self.network
         try:
-            msg = self.network.deliver(uid, self._step)
+            msg = network.deliver(uid, self._step)
         except KeyError:
             raise SchedulerError(f"scheduler chose unknown message uid {uid}")
-        self._step += 1
+        step = self._step = self._step + 1
         if not self._timing_passive:
-            self.timing.on_deliver(msg, self._step)
-        self._delivered_batches.add(msg.batch)
+            self.timing.on_deliver(msg, step)
+        if msg.batch in self._mediator_batches:
+            self._delivered_mediator_batches.add(msg.batch)
+        pid, sender, payload = msg.recipient, msg.sender, msg.payload
         if self._trace_on:
             self.trace.add(
                 TraceEvent(
-                    step=self._step,
+                    step=step,
                     kind="deliver",
-                    pid=msg.recipient,
-                    sender=msg.sender,
-                    recipient=msg.recipient,
-                    uid=msg.uid,
-                    payload=(
-                        msg.payload if self.trace.record_payloads else None
-                    ),
+                    pid=pid,
+                    sender=sender,
+                    recipient=pid,
+                    uid=uid,
+                    payload=payload if self.trace.record_payloads else None,
                 )
             )
-        pid = msg.recipient
         if pid in self.halted:
             return
         if self._faults is not None:
-            self._faults.log_delivery(pid, msg.sender, msg.payload)
+            self._faults.log_delivery(pid, sender, payload)
+        ctx = self._context(pid, network.new_batch())
         process = self.processes[pid]
-        self._current_batch = self.network.new_batch()
-        ctx = self._context(pid, self._current_batch)
         if pid not in self.started:
             self.started.add(pid)
             if self._trace_on:
-                self.trace.add(
-                    TraceEvent(step=self._step, kind="start", pid=pid)
-                )
+                self.trace.add(TraceEvent(step=step, kind="start", pid=pid))
             process.on_start(ctx)
-        if msg.payload == START_SIGNAL and msg.sender == ENVIRONMENT_PID:
+        if sender == ENVIRONMENT_PID and payload == START_SIGNAL:
             return
         if pid in self.halted:
             return
-        process.on_message(ctx, msg.sender, msg.payload)
+        process.on_message(ctx, sender, payload)

@@ -23,18 +23,10 @@ from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
-from itertools import islice
 from typing import Iterable, Optional
 
 from repro.errors import SchedulerError
 from repro.sim.network import MessageView, TransitPool, TransitView
-
-
-def _nth_uid(view: TransitView, index: int) -> int:
-    """The ``index``-th in-transit uid (ascending), without a list copy."""
-    if index == 0:
-        return view.min_uid()
-    return next(islice(view.uids(), index, None))
 
 
 class Scheduler(ABC):
@@ -87,13 +79,14 @@ class RandomScheduler(Scheduler):
 
     def choose(self, in_transit: TransitPool, step: int) -> Optional[int]:
         if isinstance(in_transit, TransitView):
-            if not in_transit:
+            size = len(in_transit)
+            if not size:
                 return None
-            # uids() is already ascending: same draw as sorting views.
+            # The pool's uids are ascending: same draw as sorting views.
             # randrange(m) consumes the rng exactly like choice()'s
-            # _randbelow(m), so indexing the key view lazily (no list
-            # materialization per step) picks the identical uid.
-            return _nth_uid(in_transit, self._rng.randrange(len(in_transit)))
+            # _randbelow(m), so indexing the sorted uid list picks the
+            # identical uid.
+            return in_transit.nth_uid(self._rng.randrange(size))
         if not in_transit:
             return None
         return self._rng.choice(sorted(m.uid for m in in_transit))
@@ -207,7 +200,8 @@ class BatchRandomScheduler(Scheduler):
 
     def choose(self, in_transit: TransitPool, step: int) -> Optional[int]:
         if isinstance(in_transit, TransitView):
-            if not in_transit:
+            size = len(in_transit)
+            if not size:
                 return None
             if self._active_batch is not None:
                 uid = in_transit.oldest_in_batch(self._active_batch)
@@ -216,7 +210,7 @@ class BatchRandomScheduler(Scheduler):
             # choice() indexes the list, so drawing from ascending uids
             # consumes the RNG exactly like drawing from sorted views
             # (randrange == choice's _randbelow; see RandomScheduler).
-            uid = _nth_uid(in_transit, self._rng.randrange(len(in_transit)))
+            uid = in_transit.nth_uid(self._rng.randrange(size))
             self._active_batch = in_transit.batch_of(uid)
             return uid
         if not in_transit:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.broadcast import coin_value
+from repro.broadcast import SessionHost, coin_value
 from repro.broadcast.rbc import rbc_sid
 from repro.broadcast.aba import aba_sid
 from repro.broadcast.acs import acs_sid
@@ -176,9 +176,114 @@ class TestABA:
         def kick(host):
             with pytest.raises(ProtocolError):
                 host.open_session(aba_sid("x")).propose(2)
+            with pytest.raises(ProtocolError):  # peers ignore non-int bits
+                host.open_session(aba_sid("x")).propose(True)
             host.open_session(aba_sid("x")).propose(0)
 
         run_hosts(4, 1, on_ready=kick)
+
+
+class TestABAThresholds:
+    """Unit checks on one ABA endpoint (n=4, t=1: relay at 2, bin_values
+    at 3, advance on 3 AUX). With no activation in progress the host
+    queues every send in ``_pending_sends``, which the tests read."""
+
+    def _aba(self):
+        host = SessionHost(0, [0, 1, 2, 3], {"t": 1, "coin_seed": 5})
+        return host, host.open_session(aba_sid("unit"))
+
+    @staticmethod
+    def _sent(host):
+        return [payload for _sid, to, payload in host._pending_sends if to == 0]
+
+    def test_aux_before_bin_values_counts_once_value_enters(self):
+        host, aba = self._aba()
+        aba.propose(1)
+        for sender in (1, 2, 3):
+            aba.handle(sender, ("aux", 0, 1))
+        state = aba.rounds[0]
+        assert state.bin_values == set() and not state.aux_sent
+        assert not state.advanced
+        for sender in (0, 1, 2):
+            aba.handle(sender, ("bval", 0, 1))
+        assert state.bin_values == {1}
+        assert ("aux", 0, 1) in self._sent(host)
+        assert state.advanced
+        coin = coin_value(5, (aba.sid, 0))
+        if coin == 1:
+            assert aba.decided == 1
+        else:
+            assert (aba.round, aba.est) == (1, 1)
+
+    def test_duplicate_aux_counts_once(self):
+        host, aba = self._aba()
+        aba.propose(1)
+        for sender in (0, 1, 2):
+            aba.handle(sender, ("bval", 0, 1))
+        state = aba.rounds[0]
+        for payload in (("aux", 0, 1), ("aux", 0, 1), ("aux", 0, 0)):
+            aba.handle(1, payload)
+        aba.handle(2, ("aux", 0, 1))
+        assert state.aux_count == [0, 2]
+        assert not state.advanced
+        aba.handle(3, ("aux", 0, 1))
+        assert state.advanced
+
+
+# Payloads no honest party sends; ("aux", 0) is the arity crash reported
+# against ABA, ("echo",) its RBC twin.
+MALFORMED_ABA = [("aux", 0), ("bval",), ("bval", 0, 1, 2), ("aux", "0", 1),
+                 ("bval", [0], 1), ("bval", 0, 1.0), ("aux", 0, True),
+                 ("decide",), ("decide", 0, 1), ("decide", 1.0), "aux", (),
+                 None, 7]
+MALFORMED_RBC = [("echo",), ("ready", "v", "w"), "init", (), None,
+                 ("echo", ["unhashable"]), ("ready", {"v": 1})]
+
+
+class TestMalformedMessages:
+    """One Byzantine peer's malformed messages are noise: honest hosts
+    finish with the result they reach when that peer is silent."""
+
+    @staticmethod
+    def _spammer(messages):
+        def behaviour(ctx, sender, payload):
+            if sender is None:
+                for pid in (0, 1, 2):
+                    for message in messages:
+                        ctx.send(pid, message)
+
+        return ScriptedByzantine(behaviour)
+
+    @pytest.mark.parametrize("scheduler", [FifoScheduler(), RandomScheduler(4)],
+                             ids=lambda s: s.name)
+    def test_malformed_aba_messages_are_ignored(self, scheduler):
+        sid = acs_sid("r")
+
+        def kick(host):
+            acs = host.open_session(sid)
+            for j in range(3):
+                acs.provide_input(j)
+
+        noise = [(("aba", (sid, j)), bad) for j in range(4)
+                 for bad in MALFORMED_ABA]
+        silent, _ = run_hosts(4, 1, on_ready=kick, scheduler=scheduler,
+                              byzantine={3: CrashProcess()})
+        noisy, _ = run_hosts(4, 1, on_ready=kick, scheduler=scheduler,
+                             byzantine={3: self._spammer(noise)})
+        assert len(results_for(silent, sid)) == 3
+        assert results_for(noisy, sid) == results_for(silent, sid)
+
+    def test_malformed_rbc_messages_are_ignored(self):
+        sid = rbc_sid(0, "x")
+
+        def kick(host):
+            if host.me == 0:
+                host.open_session(sid).input("v")
+
+        noise = [(sid, bad) for bad in MALFORMED_RBC]
+        hosts, _ = run_hosts(4, 1, on_ready=kick,
+                             byzantine={3: self._spammer(noise)})
+        assert results_for(hosts, sid) == {0: "v", 1: "v", 2: "v"}
 
 
 class TestACS:

@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.field.poly as poly_module
 from repro.errors import DecodingError, FieldError
 from repro.field import (
     GF,
@@ -115,6 +116,18 @@ class TestInterpolation:
         points = [(x, p(x)) for x in range(1, deg + 2)]
         assert lagrange_interpolate(F, points) == p
 
+    @given(
+        st.lists(st.integers(0, SMALL_PRIME - 1), min_size=1, max_size=7,
+                 unique=True),
+        st.lists(st.integers(0, SMALL_PRIME - 1), min_size=7, max_size=7),
+    )
+    @settings(max_examples=60)
+    def test_passes_through_arbitrary_points(self, xs, ys):
+        points = [(F(x), y) for x, y in zip(xs, ys)]
+        p = lagrange_interpolate(F, points)
+        assert p.degree < len(points)
+        assert all(p(x) == F(y) for x, y in points)
+
     def test_coefficients_at_zero(self):
         p = poly_from([7, 3, 2])
         xs = [1, 2, 3]
@@ -190,9 +203,16 @@ class TestBerlekampWelch:
 
 
 class TestRobustInterpolate:
-    def test_waits_for_enough_points(self):
+    def test_waits_for_enough_points(self, monkeypatch):
         p = poly_from([2, 3])
         pts = [(1, p(1)), (2, p(2))]
+
+        def decoder(*args):
+            raise AssertionError("decoded with too few points")
+
+        # Below deg+t+1 points no candidate can pass the agreement check,
+        # so the decoder must not even run.
+        monkeypatch.setattr(poly_module, "_decode", decoder)
         # degree 1, t=1: need agreement on deg+t+1 = 3 points minimum
         assert robust_interpolate(F, pts, 1, total_parties=5, max_faulty=1) is None
 

@@ -1,6 +1,7 @@
 """Contract tests for the scheduler zoo."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.sim import (
     BatchRandomScheduler,
@@ -193,6 +194,11 @@ class TestTransitViewFastPaths:
         net.deliver(1, 1)
         net.drop(4)
         net.deliver(0, 2)
+        # Hold two messages (a partition cut), send a newer one, then put
+        # the held ones back: reinstated uids are older than uid 10.
+        held = [net.withdraw(7), net.withdraw(2)]
+        net.send(1, 2, "x", 3, 16)
+        net.reinstate(held)
         return net
 
     def _fresh_pairs(self):
@@ -223,10 +229,73 @@ class TestTransitViewFastPaths:
     def test_view_is_a_sequence(self):
         net = self._network()
         view = net.view()
-        assert len(view) == 7
+        assert len(view) == 8
         assert [m.uid for m in view] == sorted(m.uid for m in view)
         assert view[0].uid == min(view.uids())
         assert view.min_uid() == view[0].uid
+        assert [view.nth_uid(i) for i in range(len(view))] == [
+            m.uid for m in view
+        ]
+
+
+# One operation on a Network: (kind, a, b). Sends use a/b as sender and
+# recipient; the other kinds pick the (a mod pool size)-th oldest message.
+_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(
+            ["send", "send", "send", "deliver", "drop", "withdraw",
+             "reinstate"]
+        ),
+        st.integers(0, 5),
+        st.integers(0, 5),
+    ),
+    max_size=60,
+)
+
+
+class TestIndexedPoolInvariants:
+    """The sorted uid list and the buckets agree with a plain scan after
+    any mix of send, deliver, drop, withdraw and reinstate."""
+
+    @staticmethod
+    def _check(net):
+        view = net.view()
+        msgs = [net.get(uid) for uid in view.uids()]
+        expected = sorted(m.uid for m in msgs)
+        assert [view.nth_uid(i) for i in range(len(view))] == expected
+        assert [m.uid for m in net.in_transit()] == expected
+        assert view.min_uid() == (expected[0] if expected else None)
+        for pid in range(6):
+            to_pid = [m.uid for m in msgs if m.recipient == pid]
+            from_pid = [m.uid for m in msgs if m.sender == pid]
+            in_batch = [m.uid for m in msgs if m.batch == pid]
+            assert view.oldest_to(pid) == min(to_pid, default=None)
+            assert view.oldest_from(pid) == min(from_pid, default=None)
+            assert view.oldest_in_batch(pid) == min(in_batch, default=None)
+            assert view.has_self_message(pid) == any(
+                m.sender == m.recipient == pid for m in msgs
+            )
+
+    @given(_OPS)
+    @settings(max_examples=150, deadline=None)
+    def test_nth_uid_matches_sorted_pool(self, ops):
+        net = Network()
+        held = []
+        for step, (kind, a, b) in enumerate(ops):
+            if kind == "send":
+                net.send(a, b, "x", step, a)
+            elif kind == "reinstate":
+                net.reinstate(held)
+                held = []
+            elif len(net):
+                uid = net.view().nth_uid(a % len(net))
+                if kind == "deliver":
+                    net.deliver(uid, step)
+                elif kind == "drop":
+                    net.drop(uid)
+                else:
+                    held.append(net.withdraw(uid))
+            self._check(net)
 
 
 class TestZoo:

@@ -1,12 +1,14 @@
-"""E12 — Real-network substrate: sim vs in-memory net vs TCP throughput.
+"""E12 — Network substrate: fifo kernel vs seeded latency vs TCP throughput.
 
 Claims regenerated:
-* the asyncio substrate (in-memory transport) is record-equivalent to the
-  simulated kernel on the netcheck reference cell (invariant 9), and its
-  seeded-latency schedules are deterministic across repeats;
+* ``runtime="net"`` — the simulated kernel under a ``LatencyScheduler`` —
+  is record-equivalent to the fifo kernel on the netcheck reference cell
+  (invariant 9), and its seeded-latency schedules are deterministic
+  across repeats;
 * every protocol message survives a real localhost TCP socket with the
   same payoffs and outcome taxonomy (timing fields relaxed);
-* measured rows: wall-clock per substrate on the same Thm 4.1 cell.
+* measured rows: wall-clock per schedule/substrate on the same Thm 4.1
+  cell.
 """
 
 import time
@@ -45,15 +47,15 @@ def test_substrate_throughput(benchmark):
         assert net.records == repeat.records, "net repeats diverged"
         assert conformance_diff(tcp_sim.records, tcp.records) == []
 
-        rows.append(f"sim kernel        n=9: {sim_s * 1000:7.1f} ms")
+        rows.append(f"sim kernel (fifo) n=9: {sim_s * 1000:7.1f} ms")
         rows.append(
-            f"net (memory)      n=9: {net_s * 1000:7.1f} ms "
+            f"net (latency)     n=9: {net_s * 1000:7.1f} ms "
             f"({net_spec.latency})"
         )
         rows.append(
             f"net-tcp localhost n=5: {tcp_s * 1000:7.1f} ms "
             f"({tcp_spec.latency})"
         )
-        report("E12 substrate throughput (sim vs net vs TCP)", rows)
+        report("E12 substrate throughput (fifo vs latency vs TCP)", rows)
 
         benchmark(lambda: runner.run(net_spec))

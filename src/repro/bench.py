@@ -311,13 +311,15 @@ def _bench_obs_overhead(quick: bool) -> dict:
 
 @register_bench("net-sweep")
 def _bench_net_sweep(quick: bool) -> dict:
-    """Substrate cost: the simulated kernel vs the in-memory asyncio net.
+    """Schedule cost: the fifo kernel vs ``runtime="net"`` latency order.
 
-    *Before* is the simulated-kernel leg, *after* the same grid over the
-    in-memory net substrate under seeded lognormal latency — so
-    ``speedup`` reads as the fraction of kernel throughput the asyncio
-    event loop leaves. The conformance assert doubles as invariant 9:
-    the two substrates produce record-equivalent payoffs and outcomes.
+    *Before* is the fifo leg, *after* the same grid as ``runtime="net"``:
+    the same kernel under a ``LatencyScheduler`` over seeded lognormal
+    latency. ``speedup`` reads as the throughput a latency-ordered
+    schedule keeps: heap upkeep and per-edge latency draws, plus the
+    extra protocol traffic (ABA rounds) a less orderly schedule costs.
+    The conformance assert doubles as invariant 9: both schedules give
+    record-equivalent payoffs and outcomes.
     """
     from repro.experiments import ExperimentRunner, get_scenario
     from repro.net.conformance import conformance_diff

@@ -220,8 +220,15 @@ class SessionHost(Process):
                 and isinstance(payload[0], tuple)
             ):
                 sid, inner = payload
-                session = self.sessions.get(sid)
+                try:
+                    session = self.sessions.get(sid)
+                except TypeError:
+                    return  # unhashable sid: Byzantine noise
                 if session is None:
+                    # A peer's message opens the local endpoint of a session
+                    # of a registered kind; any other sid is noise.
+                    if not sid or sid[0] not in SESSION_REGISTRY:
+                        return
                     session = self.open_session(sid)
                 session.handle(sender, inner)
                 if self._pending_sends:
@@ -232,7 +239,5 @@ class SessionHost(Process):
             self._ctx = None
 
     def on_plain_message(self, ctx: Context, sender: int, payload: Any) -> None:
-        """Hook for non-session messages; default is to reject loudly."""
-        raise ProtocolError(
-            f"host {self.me} got non-session message {payload!r} from {sender}"
-        )
+        """Hook for non-session messages. Honest hosts send none, so by
+        default they are Byzantine noise and ignored."""

@@ -22,9 +22,9 @@ from repro.circuits import Circuit
 from repro.errors import CompilationError, GameError
 from repro.field import GF, DEFAULT_PRIME
 from repro.games.library import GameSpec
-from repro.mediator.games import MediatorRun
+from repro.mediator.games import MediatorRun, build_engine
 from repro.mpc import TrustedSetup, mpc_sid
-from repro.sim import Runtime, Scheduler, TimingModel
+from repro.sim import Scheduler, TimingModel
 from repro.sim.runtime import RunResult
 
 ENGINE_SID = mpc_sid("cheap-talk")
@@ -198,35 +198,18 @@ class CheapTalkGame:
         types = tuple(types)
         setup = self.build_setup(seed)
         processes = self.processes(types, setup, deviations)
-        if runtime == "sim":
-            engine = Runtime(
-                processes,
-                scheduler,
-                seed=seed,
-                step_limit=step_limit,
-                record_payloads=record_payloads,
-                timing=timing,
-                record_trace=record_trace,
-                faults=faults,
-            )
-        else:
-            # The asyncio substrate: same processes, same Network/Context
-            # bookkeeping, delivery order decided by the latency model
-            # (in-memory) or real localhost sockets ("net-tcp") instead
-            # of the scheduler.
-            from repro.net.runtime import NetRuntime
-
-            engine = NetRuntime(
-                processes,
-                latency=latency,
-                seed=seed,
-                step_limit=step_limit,
-                record_payloads=record_payloads,
-                record_trace=record_trace,
-                transport="tcp" if runtime == "net-tcp" else "memory",
-                faults=faults,
-            )
-        result = engine.run()
+        result = build_engine(
+            processes,
+            scheduler,
+            runtime=runtime,
+            latency=latency,
+            seed=seed,
+            step_limit=step_limit,
+            record_payloads=record_payloads,
+            timing=timing,
+            record_trace=record_trace,
+            faults=faults,
+        ).run()
         actions = self.resolve_actions(types, result)
         return MediatorRun(actions=actions, result=result, types=types)
 

@@ -1376,8 +1376,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--runtime", default=None,
                        choices=("sim", "net", "net-tcp"),
                        help="override the execution substrate: the "
-                            "simulated kernel (sim), the deterministic "
-                            "in-memory asyncio substrate (net), or real "
+                            "simulated kernel under the scenario's "
+                            "schedulers (sim), the same kernel delivering "
+                            "in seeded latency order (net), or real "
                             "localhost TCP sockets (net-tcp)")
         p.add_argument("--latency", default=None, metavar="MODEL",
                        help="latency model for net runtimes: zero, "

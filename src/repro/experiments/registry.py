@@ -325,8 +325,8 @@ register_scenario(ScenarioSpec(
     seed_count=1,
     description="Netcheck reference cell: Thm 4.1 honest play, single "
                 "fifo/seed leg. Run it as-is for the simulated kernel, or "
-                "with --runtime net --latency ... for the asyncio "
-                "substrate; payoffs and outcome taxonomy must match "
+                "with --runtime net --latency ... for seeded latency "
+                "order; payoffs and outcome taxonomy must match "
                 "(invariant 9).",
 ))
 
@@ -342,9 +342,9 @@ register_scenario(ScenarioSpec(
     seed_count=2,
     runtime="net",
     latency="lognormal@m5s2",
-    description="Thm 4.1 over the in-memory asyncio substrate under "
-                "seeded lognormal latency — deterministic, and "
-                "record-equivalent to the simulated kernel.",
+    description="Thm 4.1 in the order of seeded lognormal latency — "
+                "deterministic, and record-equivalent to the fifo "
+                "schedule.",
 ))
 
 register_scenario(ScenarioSpec(

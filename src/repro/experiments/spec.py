@@ -39,10 +39,12 @@ profiles without any simulation.
 RUNTIMES = ("sim", "net", "net-tcp")
 """Legal values of :attr:`ScenarioSpec.runtime`.
 
-``sim`` is the step-scheduled kernel (:mod:`repro.sim`); ``net`` runs the
-same processes over the deterministic in-memory asyncio substrate
-(:mod:`repro.net`) under the spec's ``latency`` model; ``net-tcp`` uses
-real localhost TCP sockets (wall-clock, not byte-deterministic).
+``sim`` is the step-scheduled kernel (:mod:`repro.sim`) under the spec's
+schedulers; ``net`` runs the same kernel under a
+:class:`~repro.sim.scheduler.LatencyScheduler`, which delivers in order of
+virtual arrival time under the spec's ``latency`` model (deterministic);
+``net-tcp`` runs the processes over real localhost TCP sockets
+(:mod:`repro.net`; wall-clock, not byte-deterministic).
 """
 
 MEDIATOR_VARIANTS = ("standard", "leaky-sec64", "minimal-sec64")
@@ -99,8 +101,8 @@ class ScenarioSpec:
     mediator_variant: str = "standard"
     runtime: str = "sim"
     """Which substrate executes the grid: the step-scheduled kernel
-    (``sim``), the deterministic in-memory asyncio substrate (``net``),
-    or real localhost TCP sockets (``net-tcp``). See :data:`RUNTIMES`."""
+    (``sim``), the same kernel in seeded latency order (``net``), or real
+    localhost TCP sockets (``net-tcp``). See :data:`RUNTIMES`."""
 
     latency: str = "zero"
     """Latency model for net runtimes, by

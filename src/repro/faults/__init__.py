@@ -5,7 +5,7 @@ survives up to ``t`` crashed players among ``n >= 2k+3``. This package
 turns those claims into executable experiments — a declarative, seeded
 :class:`FaultPlan` (named like latency models: ``crash@p2s40``,
 ``drop-0.1``, ``partition@{1,2}t30h90``, ...) is injected through the
-simulated kernel and the asyncio substrate via one shared
+simulated kernel and the TCP substrate via one shared
 :class:`FaultInjector` state machine, and the masking oracle in
 :mod:`repro.faults.masking` checks mechanically that plans within the
 fault budget leave honest players' records untouched.

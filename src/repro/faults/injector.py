@@ -1,8 +1,9 @@
 """The substrate-neutral fault-injection state machine.
 
-Both runtimes — the simulated kernel (:class:`repro.sim.runtime.Runtime`)
-and the asyncio substrate (:class:`repro.net.runtime.NetRuntime`) — drive
-one :class:`FaultInjector` per run through the same three hook points:
+Both runtimes — the simulated kernel (:class:`repro.sim.runtime.Runtime`,
+which also runs ``runtime="net"`` under a latency scheduler) and the TCP
+substrate (:class:`repro.net.runtime.NetRuntime`) — drive one
+:class:`FaultInjector` per run through the same three hook points:
 
 * **per-step events** — :meth:`due_events` hands back crash/restart/heal
   events whose delivery-step threshold has arrived; the runtime applies
@@ -20,9 +21,8 @@ one :class:`FaultInjector` per run through the same three hook points:
 
 All state here is rebuilt by :meth:`reset` from ``(plan, seed)``, so a
 run under faults stays a pure function of ``(spec, seed)`` and repeat
-runs are byte-identical. Held items are opaque to the injector: the sim
-kernel stores withdrawn :class:`~repro.sim.network.Message` objects, the
-net substrate stores un-posted ``(message, context)`` tuples.
+runs are byte-identical. Held items are opaque to the injector; both
+runtimes store withdrawn :class:`~repro.sim.network.Message` objects.
 """
 
 from __future__ import annotations

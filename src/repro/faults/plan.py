@@ -20,7 +20,7 @@ the ``faults`` axis:
   crossing the cut between {1, 2} and everyone else are held and
   released at heal;
 * ``corrupt-tcp-0.01`` — flip a byte in 1% of TCP frames (the receiver's
-  CRC check discards them; a no-op on the sim and in-memory substrates);
+  CRC check discards them; a no-op on the kernel, ``sim`` and ``net``);
 * compound plans join actions with ``+``: ``drop-0.1+crash@p2s40``.
 
 Every probabilistic decision draws from a per-edge ``RngTree`` stream
@@ -200,8 +200,8 @@ class PartitionFault(FaultAction):
 class CorruptTcpFault(FaultAction):
     """Flip a byte in a fraction ``p`` of TCP frames (CRC discards them).
 
-    Only the TCP transport has a wire to corrupt; on the sim kernel and
-    the in-memory transport this action is the identity.
+    Only the TCP transport has a wire to corrupt; on the kernel (``sim``
+    and ``net`` runs) this action is the identity.
     """
 
     kind = "corrupt-tcp"

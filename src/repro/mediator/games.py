@@ -15,11 +15,36 @@ from typing import Any, Callable, Mapping, Optional, Sequence
 from repro.errors import GameError
 from repro.games.library import GameSpec
 from repro.mediator.protocol import FnMediator, HonestMediatorPlayer, mediator_pid
-from repro.sim import Runtime, Scheduler, TimingModel
+from repro.sim import LatencyScheduler, Runtime, Scheduler, TimingModel
 from repro.sim.runtime import RunResult
 
 DeviationFactory = Callable[[int, Any], Any]
 """(pid, own_type) -> Process replacing the honest player."""
+
+
+def build_engine(
+    processes: dict[int, Any],
+    scheduler: Scheduler,
+    runtime: str = "sim",
+    latency: str = "zero",
+    timing: Optional[TimingModel] = None,
+    **options: Any,
+):
+    """The engine that runs a game's processes on ``runtime``.
+
+    ``sim`` and ``net`` both run on the kernel; ``net`` swaps the
+    scheduler and timing model for a
+    :class:`~repro.sim.scheduler.LatencyScheduler` over ``latency``.
+    ``net-tcp`` runs the asyncio substrate over localhost sockets.
+    ``options`` are the keyword arguments both engines share.
+    """
+    if runtime == "net-tcp":
+        from repro.net.runtime import NetRuntime
+
+        return NetRuntime(processes, latency=latency, **options)
+    if runtime == "net":
+        scheduler, timing = LatencyScheduler(latency), None
+    return Runtime(processes, scheduler, timing=timing, **options)
 
 
 @dataclass
@@ -106,33 +131,19 @@ class MediatorGame:
     ) -> MediatorRun:
         types = tuple(types)
         processes = self.processes(types, deviations)
-        if runtime == "sim":
-            engine = Runtime(
-                processes,
-                scheduler,
-                seed=seed,
-                mediator_pid=self.mediator,
-                step_limit=step_limit,
-                record_payloads=record_payloads,
-                timing=timing,
-                record_trace=record_trace,
-                faults=faults,
-            )
-        else:
-            from repro.net.runtime import NetRuntime
-
-            engine = NetRuntime(
-                processes,
-                latency=latency,
-                seed=seed,
-                mediator_pid=self.mediator,
-                step_limit=step_limit,
-                record_payloads=record_payloads,
-                record_trace=record_trace,
-                transport="tcp" if runtime == "net-tcp" else "memory",
-                faults=faults,
-            )
-        result = engine.run()
+        result = build_engine(
+            processes,
+            scheduler,
+            runtime=runtime,
+            latency=latency,
+            seed=seed,
+            mediator_pid=self.mediator,
+            step_limit=step_limit,
+            record_payloads=record_payloads,
+            timing=timing,
+            record_trace=record_trace,
+            faults=faults,
+        ).run()
         actions = self.resolve_actions(types, result)
         return MediatorRun(actions=actions, result=result, types=types)
 

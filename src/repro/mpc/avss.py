@@ -70,11 +70,15 @@ class AvssReconstruction(Session):
         self.send_all(("share", int(share)))
 
     def handle(self, sender: int, payload: Any) -> None:
-        if not isinstance(payload, tuple) or payload[0] != "share":
+        # Anything but ("share", int) from a new sender is Byzantine noise.
+        if type(payload) is not tuple or len(payload) != 2:
             return
-        if sender in self.shares or not isinstance(payload[1], int):
+        kind, share = payload
+        if kind != "share" or sender in self.shares:
             return
-        self.shares[sender] = self.field(payload[1])
+        if not isinstance(share, int):
+            return
+        self.shares[sender] = self.field(share)
         if self.finished:
             return
         from repro.field import robust_interpolate
@@ -154,30 +158,38 @@ class AsyncVerifiableSS(Session):
         self._progress()
 
     def handle(self, sender: int, payload: Any) -> None:
-        kind = payload[0]
+        # A Byzantine peer can put anything under an AVSS sid: payloads of
+        # the wrong type or arity, non-int points and malformed rows are
+        # noise, ignored.
+        if type(payload) is not tuple or len(payload) != 2:
+            return
+        kind, body = payload
         if kind == "row":
             if sender != self.dealer:
                 return
-            coeffs = payload[1]
-            if not isinstance(coeffs, tuple) or len(coeffs) > self.t + 1:
-                return
-            self._adopt_row(
-                Polynomial(self.field, tuple(self.field(c) for c in coeffs))
-            )
+            row = self._row_from_wire(body)
+            if row is not None:
+                self._adopt_row(row)
         elif kind == "pt":
-            if sender not in self.points and isinstance(payload[1], int):
-                self.points[sender] = self.field(payload[1])
+            if sender not in self.points and isinstance(body, int):
+                self.points[sender] = self.field(body)
                 self._progress()
         elif kind == "ready":
-            coeffs = payload[1]
-            if sender in self.ready_rows or not isinstance(coeffs, tuple):
+            if sender in self.ready_rows:
                 return
-            if len(coeffs) > self.t + 1:
-                return
-            self.ready_rows[sender] = Polynomial(
-                self.field, tuple(self.field(c) for c in coeffs)
-            )
-            self._progress()
+            row = self._row_from_wire(body)
+            if row is not None:
+                self.ready_rows[sender] = row
+                self._progress()
+
+    def _row_from_wire(self, coeffs: Any) -> Optional[Polynomial]:
+        """A row from its wire coefficients; None unless a tuple of at most
+        t+1 ints."""
+        if not isinstance(coeffs, tuple) or len(coeffs) > self.t + 1:
+            return None
+        if not all(isinstance(c, int) for c in coeffs):
+            return None
+        return Polynomial(self.field, tuple(self.field(c) for c in coeffs))
 
     # -- state machine -----------------------------------------------------------------
 

@@ -326,10 +326,19 @@ class MpcEngine(Session):
         self._try_resolve(key)
 
     def handle(self, sender: int, payload: Any) -> None:
-        if not isinstance(payload, tuple) or payload[0] != "osh":
-            return  # unknown message shape: ignore (Byzantine noise)
-        _, key, value, mac = payload
-        if not isinstance(value, int):
+        # A Byzantine peer can put anything under the engine's sid: only
+        # ("osh", hashable key, int share, int or None MAC) is an opening
+        # share; any other type, arity or field is noise and ignored.
+        if type(payload) is not tuple or len(payload) != 4:
+            return
+        kind, key, value, mac = payload
+        if kind != "osh" or not isinstance(value, int):
+            return
+        if mac is not None and not isinstance(mac, int):
+            return
+        try:
+            hash(key)
+        except TypeError:
             return
         opening = self._opening(key)
         if sender not in opening.contributions:

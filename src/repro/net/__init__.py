@@ -1,14 +1,20 @@
-"""Real-network substrate: the cheap-talk protocols over asyncio.
+"""Network substrate: seeded latency, and the protocols over real sockets.
 
-``repro.net`` is the second runtime next to the simulated kernel
-(``repro.sim``): the same :class:`~repro.sim.process.Process` objects run
-as per-node asyncio tasks wired through a :class:`~repro.net.router.Router`,
-with in-flight time decided by a pluggable
-:class:`~repro.net.latency.LatencyModel` instead of a step scheduler. Two
-transports sit behind the same interface: a deterministic in-memory
-virtual-clock transport (byte-reproducible from the seed) and real
-localhost TCP sockets. ``repro.net.conformance`` holds the oracle that
-keeps both record-equivalent to the kernel.
+In-flight time is decided by a pluggable
+:class:`~repro.net.latency.LatencyModel` instead of a step scheduler, two
+ways:
+
+* ``runtime="net"`` — the simulated kernel under
+  :class:`~repro.sim.scheduler.LatencyScheduler`, which delivers from the
+  in-memory virtual-clock wire :class:`~repro.net.router.MemoryTransport`;
+  byte-reproducible from the seed;
+* ``runtime="net-tcp"`` — :class:`~repro.net.runtime.NetRuntime`, the
+  same :class:`~repro.sim.process.Process` objects as per-node asyncio
+  tasks wired through a :class:`~repro.net.router.Router` over real
+  localhost TCP sockets.
+
+``repro.net.conformance`` holds the oracle that keeps both
+record-equivalent to the kernel's other schedules.
 
 Exports are lazy so importing the latency vocabulary (which
 ``repro.experiments.spec`` validates against) never pulls in asyncio
@@ -26,7 +32,6 @@ _LAZY = {
     "MemoryTransport": ("repro.net.router", "MemoryTransport"),
     "TcpTransport": ("repro.net.tcp", "TcpTransport"),
     "NetRuntime": ("repro.net.runtime", "NetRuntime"),
-    "TRANSPORTS": ("repro.net.runtime", "TRANSPORTS"),
     "CONFORMANCE_FIELDS": ("repro.net.conformance", "CONFORMANCE_FIELDS"),
     "conformance_view": ("repro.net.conformance", "conformance_view"),
     "conformance_diff": ("repro.net.conformance", "conformance_diff"),

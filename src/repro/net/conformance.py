@@ -4,12 +4,13 @@ This reuses the record-diff methodology from the refactor-verification
 workflow (CONTRIBUTING, "Verifying a refactor is behavior-preserving") as
 a *runtime equivalence* check: same game, same seed, same protocol ⇒ same
 payoffs and same quiesce taxonomy, whether the schedule came from the
-kernel's scheduler or from latency draws over asyncio.
+spec's scheduler, from seeded latency draws, or from real sockets.
 
-Two strengths of claim, matching the two transports:
+Two strengths of claim, matching the two net runtimes:
 
-* in-memory (``runtime="net"``): every run is deterministic, so repeat
-  runs must be *fully* byte-identical, and against the kernel the
+* seeded latency (``runtime="net"``, the kernel under a
+  ``LatencyScheduler``): every run is deterministic, so repeat runs must
+  be *fully* byte-identical, and against the spec's scheduler the
   order-independent projection below must match on every seed;
 * TCP (``runtime="net-tcp"``): arrival order is real-world, so only the
   projection is comparable (the "relaxed timing fields" contract).

@@ -2,10 +2,11 @@
 
 A :class:`LatencyModel` answers one question: how long does the message a
 ``sender`` just posted to ``recipient`` spend in flight? Delays are in
-*virtual latency units* — the in-memory transport advances a virtual clock
-by them directly, the TCP transport multiplies them by its wall-clock
-``time_scale`` — so the same model name means the same schedule shape on
-both transports.
+*virtual latency units* — the kernel's
+:class:`~repro.sim.scheduler.LatencyScheduler` (``runtime="net"``) advances
+a virtual clock by them directly, the TCP transport multiplies them by its
+wall-clock ``time_scale`` — so the same model name means the same schedule
+shape on both.
 
 Naming mirrors :mod:`repro.sim.timing`'s ``timing_from_name`` so a spec's
 ``latency`` axis stays a plain JSON string:
@@ -19,8 +20,8 @@ Naming mirrors :mod:`repro.sim.timing`'s ``timing_from_name`` so a spec's
 
 All stochastic models draw from per-edge :class:`~repro.utils.rng.RngTree`
 streams rooted at the run seed (``child("net", "edge", sender,
-recipient)``), so an in-memory run is a pure function of ``(spec, seed)``
-exactly like a simulated one.
+recipient)``), so a ``runtime="net"`` run is a pure function of
+``(spec, seed)`` exactly like any other kernel run.
 """
 
 from __future__ import annotations

@@ -1,19 +1,17 @@
-"""Asyncio message router: per-process send/recv queue pairs.
+"""Message routing: the TCP substrate's node inboxes, the in-memory wire.
 
-The wiring follows the HoneyBadgerMPC ``test_router`` idiom: every node
-owns an inbox queue, a central dispatcher decides which in-flight message
-arrives next, and the node tasks are plain consumers. Determinism for the
-in-memory transport comes from two properties:
+:class:`Router` wires :class:`~repro.net.runtime.NetRuntime` in the
+HoneyBadgerMPC ``test_router`` idiom: every node owns an inbox queue, a
+central dispatcher hands it each message that arrived off a socket, and
+the node tasks are plain consumers. Each delivery is a serialized
+handshake — the dispatcher enqueues the message and *awaits* the node's
+done token before taking the next one — so handler side effects (sends,
+outputs, halts) never interleave even though every node runs as its own
+asyncio task.
 
-* the dispatcher pops deliveries from a virtual-clock heap keyed
-  ``(delivery_time, sequence)`` — ties broken by post order, which equals
-  network uid order — so the delivery schedule is a pure function of the
-  latency draws;
-* each delivery is a serialized handshake: the dispatcher enqueues the
-  message and *awaits* the node's done token before popping the next one,
-  so handler side effects (sends, outputs, halts) interleave in exactly
-  one order per seed even though every node genuinely runs as its own
-  asyncio task.
+:class:`MemoryTransport` is the synchronous in-memory wire behind
+``runtime="net"``: the latency-ordered heap the kernel's
+:class:`~repro.sim.scheduler.LatencyScheduler` delivers from.
 """
 
 from __future__ import annotations
@@ -50,50 +48,34 @@ class Router:
 
 
 class MemoryTransport:
-    """Deterministic in-memory transport over a virtual latency clock.
+    """The in-memory wire: a virtual-clock heap of in-flight messages.
 
-    ``post`` schedules a message at ``now + delay``; ``next_delivery``
-    pops the earliest entry, advances the virtual clock to it, and skips
-    uids the network has since dropped (halt discards). The heap's
-    ``(time, seq)`` key makes zero-latency runs replay global send order —
-    i.e. the fifo scheduler's schedule — byte for byte.
+    :class:`~repro.sim.scheduler.LatencyScheduler` owns one per run.
+    ``post`` schedules a uid at ``now + delay``; ``pop`` hands back the
+    earliest entry whose uid is still in transit and advances the clock to
+    its arrival. The ``(arrival, post order)`` key makes zero-latency runs
+    replay global send order — the fifo schedule — byte for byte.
     """
-
-    name = "memory"
-    deterministic = True
 
     def __init__(self) -> None:
         self._heap: list = []
         self._seq = 0
-        self._now = 0.0
-        self._posted_at: dict[int, float] = {}
+        self.now = 0.0
 
-    @property
-    def now(self) -> float:
-        return self._now
-
-    async def start(self, pids, network) -> None:
-        pass
-
-    async def stop(self) -> None:
-        pass
-
-    def post(self, msg, delay: float) -> None:
+    def post(self, uid: int, delay: float) -> None:
         self._seq += 1
-        self._posted_at[msg.uid] = self._now
-        heappush(self._heap, (self._now + delay, self._seq, msg.uid))
+        heappush(self._heap, (self.now + delay, self._seq, uid))
 
-    async def next_delivery(self, network):
-        """``(uid, payload_override, observed_delay)`` or None at quiesce.
+    def pop(self, in_transit) -> Optional[int]:
+        """The earliest uid with ``in_transit(uid)`` true, or None.
 
-        ``payload_override`` is a 0- or 1-tuple: empty means deliver the
-        network's canonical payload (always, for this transport).
+        Entries whose message has left the pool (dropped, delivered
+        through an older entry, or withdrawn by a fault) are discarded.
         """
-        while self._heap:
-            vtime, _seq, uid = heappop(self._heap)
-            posted = self._posted_at.pop(uid, vtime)
-            if network.get(uid) is None:
-                continue
-            self._now = vtime
-            return uid, (), vtime - posted
+        heap = self._heap
+        while heap:
+            arrival, _seq, uid = heappop(heap)
+            if in_transit(uid):
+                self.now = arrival
+                return uid
         return None

@@ -1,24 +1,22 @@
-"""NetRuntime: the asyncio substrate that runs unchanged Process objects.
+"""NetRuntime: the unchanged Process objects over real localhost sockets.
 
-This is the second runtime next to :class:`repro.sim.runtime.Runtime`. The
-protocol layer cannot tell them apart: the same :class:`Process` objects
-receive the same :class:`Context` capability object (imported from
-``repro.sim.process``), the same :class:`~repro.sim.network.Network` keeps
-uid/batch/counter bookkeeping, and the run ends in the same
-:class:`~repro.sim.runtime.RunResult` with the kernel's quiesce taxonomy.
-What changes is *who decides delivery order*: instead of a scheduler
-choosing among eligible uids step by step, every node is a live asyncio
-task and a :class:`~repro.net.latency.LatencyModel` decides how long each
-message spends in flight.
+``runtime="net-tcp"`` runs here. The protocol layer cannot tell this
+runtime from :class:`repro.sim.runtime.Runtime`: the same
+:class:`Process` objects receive the same :class:`Context` capability
+object (imported from ``repro.sim.process``), the same
+:class:`~repro.sim.network.Network` keeps uid/batch/counter bookkeeping,
+and the run ends in the same :class:`~repro.sim.runtime.RunResult` with
+the kernel's quiesce taxonomy. What changes is *who decides delivery
+order*: every node is a live asyncio task behind a
+:class:`~repro.net.router.Router`, every protocol message crosses a
+:class:`~repro.net.tcp.TcpTransport` socket after a
+:class:`~repro.net.latency.LatencyModel` delay, and messages are
+delivered in the order they come off the wire.
 
-Determinism contract (invariant 9): with the in-memory transport, a run is
-a pure function of ``(processes, latency, seed)`` — latency draws come
-from per-edge ``RngTree`` streams and delivery ties break on post order —
-so repeat runs are byte-identical and record equivalence against the
-simulated kernel is mechanically checkable. The zero-latency schedule *is*
-the fifo schedule: the full ``RunResult`` (trace included) matches the
-kernel's byte for byte. The TCP transport trades that determinism for real
-sockets; only payoffs and outcome taxonomy are comparable there.
+Arrival order is real-world, so TCP runs are not byte-reproducible; only
+payoffs and outcome taxonomy are comparable to the kernel (invariant 9).
+Deterministic ``runtime="net"`` runs do not come here: they are kernel
+runs under :class:`~repro.sim.scheduler.LatencyScheduler`.
 
 Telemetry (per-edge delivery latency, in-flight depth, delivered counts)
 goes through ``repro.obs`` strictly out-of-band per invariant 8: metrics
@@ -32,10 +30,11 @@ import asyncio
 from contextlib import ExitStack
 from typing import Any, Optional, Union
 
-from repro.errors import NetError, SimulationError, StepLimitExceeded
+from repro.errors import SimulationError, StepLimitExceeded
 from repro.faults.injector import injector_for
 from repro.net.latency import LatencyModel, latency_from_name
-from repro.net.router import MemoryTransport, Router
+from repro.net.router import Router
+from repro.net.tcp import TcpTransport
 from repro.obs.metrics import registry as obs_registry
 from repro.obs.tracing import span as obs_span
 from repro.sim.network import Network, START_SIGNAL
@@ -44,17 +43,14 @@ from repro.sim.runtime import ENVIRONMENT_PID, RunResult
 from repro.sim.trace import Trace, TraceEvent
 from repro.utils.rng import RngTree
 
-TRANSPORTS = ("memory", "tcp")
-"""In-memory virtual-clock transport vs. localhost asyncio TCP sockets."""
-
 
 class NetRuntime:
-    """Run processes to completion as asyncio tasks under injected latency.
+    """Run processes to completion as asyncio tasks over localhost TCP.
 
     Mirrors the :class:`~repro.sim.runtime.Runtime` constructor where the
     concepts coincide; ``scheduler``/``timing`` are replaced by
-    ``latency`` (a model instance or a ``latency_from_name`` string) and
-    ``transport`` (``"memory"`` or ``"tcp"``).
+    ``latency`` (a model instance or a ``latency_from_name`` string), and
+    ``time_scale`` turns its virtual units into wall seconds.
     """
 
     def __init__(
@@ -68,17 +64,12 @@ class NetRuntime:
         raise_on_step_limit: bool = True,
         rng_namespace: str = "proc",
         record_trace: bool = True,
-        transport: str = "memory",
         time_scale: float = 0.0005,
         idle_timeout_s: float = 30.0,
         faults: Any = None,
     ) -> None:
         if not processes:
             raise SimulationError("need at least one process")
-        if transport not in TRANSPORTS:
-            raise NetError(
-                f"unknown transport {transport!r}: choose from {TRANSPORTS}"
-            )
         if latency is None:
             latency = LatencyModel()
         elif isinstance(latency, str):
@@ -90,7 +81,6 @@ class NetRuntime:
         self.mediator_pid = mediator_pid
         self.raise_on_step_limit = raise_on_step_limit
         self.rng_namespace = rng_namespace
-        self.transport_name = transport
         self._time_scale = time_scale
         self._idle_timeout_s = idle_timeout_s
         self._faults = injector_for(faults)
@@ -231,30 +221,23 @@ class NetRuntime:
         """
         with obs_span(
             "net-run",
-            transport=self.transport_name,
+            transport=TcpTransport.name,
             latency=self.latency.name,
             n=len(self.processes),
         ):
             return asyncio.run(self._run())
-
-    def _make_transport(self):
-        if self.transport_name == "tcp":
-            from repro.net.tcp import TcpTransport
-
-            return TcpTransport(
-                time_scale=self._time_scale,
-                idle_timeout_s=self._idle_timeout_s,
-                seed=self.seed,
-                faults=self._faults,
-            )
-        return MemoryTransport()
 
     async def _run(self) -> RunResult:
         self.latency.reset(self.seed)
         faults = self._faults
         if faults is not None:
             faults.reset(self.seed, self.processes)
-        self._transport = transport = self._make_transport()
+        self._transport = transport = TcpTransport(
+            time_scale=self._time_scale,
+            idle_timeout_s=self._idle_timeout_s,
+            seed=self.seed,
+            faults=self._faults,
+        )
         self._router = router = Router(self.processes)
         metrics = obs_registry()
         all_pids = set(self.processes)
@@ -344,9 +327,7 @@ class NetRuntime:
             return  # halted on its own before the fault arrived
         if self._trace_on:
             self.trace.add(TraceEvent(step=self._step, kind="crash", pid=pid))
-        kill = getattr(self._transport, "kill_node", None)
-        if kill is not None:
-            await kill(pid)
+        await self._transport.kill_node(pid)
         if faults.is_restart_target(pid):
             faults.go_down(pid)
             for msg in self.network.withdraw_to(pid):
@@ -367,9 +348,7 @@ class NetRuntime:
             self.trace.add(
                 TraceEvent(step=self._step, kind="restart", pid=pid)
             )
-        revive = getattr(self._transport, "revive_node", None)
-        if revive is not None:
-            await revive(pid)
+        await self._transport.revive_node(pid)
         faults.replaying = True
         try:
             for sender, payload in faults.inbox_log.get(pid, ()):
@@ -498,16 +477,16 @@ class NetRuntime:
         metrics.counter(
             "repro_net_delivered_total",
             "Messages delivered by the real-network substrate.",
-        ).inc(transport=self.transport_name)
+        ).inc(transport=TcpTransport.name)
         metrics.histogram(
             "repro_net_delivery_delay",
             "Per-edge in-flight delay, in virtual latency units.",
         ).observe(
             observed_delay,
-            transport=self.transport_name,
+            transport=TcpTransport.name,
             edge=f"{msg.sender}->{msg.recipient}",
         )
         metrics.gauge(
             "repro_net_in_flight",
             "Messages currently in flight on the net substrate.",
-        ).set(float(len(self.network)), transport=self.transport_name)
+        ).set(float(len(self.network)), transport=TcpTransport.name)

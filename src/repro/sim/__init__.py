@@ -37,6 +37,7 @@ from repro.sim.scheduler import (
     LaggardScheduler,
     RushingScheduler,
     BatchRandomScheduler,
+    LatencyScheduler,
     RelaxedScheduler,
     DropPlanRelaxedScheduler,
     scheduler_zoo,
@@ -69,6 +70,7 @@ __all__ = [
     "EagerScheduler",
     "LaggardScheduler",
     "BatchRandomScheduler",
+    "LatencyScheduler",
     "RelaxedScheduler",
     "DropPlanRelaxedScheduler",
     "scheduler_zoo",

@@ -74,7 +74,7 @@ class TransitView:
 
     Behaves as a ``Sequence[MessageView]`` (``len``/iteration/indexing) so
     legacy scheduler code keeps working, and exposes indexed queries —
-    :meth:`min_uid`, :meth:`nth_uid`, :meth:`oldest_to`,
+    :meth:`has_uid`, :meth:`min_uid`, :meth:`nth_uid`, :meth:`oldest_to`,
     :meth:`oldest_from`, :meth:`oldest_in_batch` — that answer in O(1) from
     the network's sorted uid list and buckets. Schedulers should prefer the
     indexed queries; payloads are never reachable through this object.
@@ -107,6 +107,10 @@ class TransitView:
     def uids(self) -> list[int]:
         """All in-transit uids, ascending (send order). Do not mutate."""
         return self._net._uids
+
+    def has_uid(self, uid: int) -> bool:
+        """Is message ``uid`` still in transit?"""
+        return uid in self._net._in_transit
 
     def min_uid(self) -> Optional[int]:
         """Oldest in-transit uid, or None when the pool is empty."""

@@ -101,6 +101,7 @@ class Runtime:
             raise SimulationError("need at least one process")
         self.processes = dict(processes)
         self.scheduler = scheduler
+        self._post = scheduler.post
         self.timing = timing if timing is not None else Asynchronous()
         self.seed = seed
         self.step_limit = step_limit
@@ -187,7 +188,10 @@ class Runtime:
         if recipient in self.halted:
             self.network.drop(msg.uid)
             return
+        post = self._post
         if faults is None:
+            if post is not None:
+                post(msg.uid, sender, recipient)
             return
         fate, arg = faults.fate(sender, recipient, self._step)
         if fate == "hold":
@@ -205,7 +209,9 @@ class Runtime:
                         uid=msg.uid,
                     )
                 )
-        elif arg > 1:
+        else:
+            if post is not None:
+                post(msg.uid, sender, recipient)
             for _ in range(arg - 1):
                 dup = self.network.send(
                     sender, recipient, payload, self._step, batch
@@ -226,6 +232,8 @@ class Runtime:
                             ),
                         )
                     )
+                if post is not None:
+                    post(dup.uid, sender, recipient)
 
     def _record_output(self, pid: int, action: Any) -> None:
         if self._faults is not None and self._faults.replaying:
@@ -379,11 +387,7 @@ class Runtime:
                 self._apply_restart(event.pid)
             else:  # heal: reopen the cut, release what it held
                 faults.mark_healed(event.index)
-                released = faults.release(("heal", event.index))
-                self.network.reinstate(released)
-                stale = {m.recipient for m in released} & self.halted
-                if stale:
-                    self.network.discard_to(stale)
+                self._reinstate(faults.release(("heal", event.index)))
 
     def _apply_crash(self, pid: int) -> None:
         faults = self._faults
@@ -438,7 +442,23 @@ class Runtime:
         released = faults.release(("restart", pid))
         if pid in self.halted:
             return  # replay re-halted it; its held messages die with it
+        self._reinstate(released)
+
+    def _reinstate(self, released: list) -> None:
+        """Put released held messages back in the pool.
+
+        Messages whose recipient halted while they were held are dropped;
+        the rest are posted to the scheduler in uid order.
+        """
         self.network.reinstate(released)
+        stale = {m.recipient for m in released} & self.halted
+        if stale:
+            self.network.discard_to(stale)
+        post = self._post
+        if post is not None:
+            for msg in sorted(released, key=lambda m: m.uid):
+                if msg.recipient not in stale:
+                    post(msg.uid, msg.sender, msg.recipient)
 
     def _advance_faults(self) -> bool:
         """Pull the earliest pending recovery forward when traffic drains.
@@ -457,11 +477,14 @@ class Runtime:
     # -- internals -----------------------------------------------------------
 
     def _inject_start_signals(self) -> None:
+        post = self._post
         for pid in sorted(self.processes):
             batch = self.network.new_batch()
             msg = self.network.send(ENVIRONMENT_PID, pid, START_SIGNAL, 0, batch)
             if not self._timing_passive:
                 self.timing.on_send(msg, 0)
+            if post is not None:
+                post(msg.uid, ENVIRONMENT_PID, pid)
             self._env_sent += 1
 
     def _forced_batch_completion(self, pool=None) -> Optional[int]:

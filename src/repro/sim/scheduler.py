@@ -17,6 +17,10 @@ and wrapping schedulers build those), via the legacy scan paths. The
 covert-channel construction of Section 6.1 (communicating with the
 environment through message *counts*) remains expressible, and
 ``repro.analysis.deviations`` exercises it.
+
+:class:`LatencyScheduler` is the environment of ``runtime="net"`` runs: a
+seeded :class:`~repro.net.latency.LatencyModel` gives every message an
+in-flight delay, and the earliest virtual arrival is delivered next.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from abc import ABC, abstractmethod
 from typing import Iterable, Optional
 
 from repro.errors import SchedulerError
+from repro.net.latency import LatencyModel, latency_from_name
 from repro.sim.network import MessageView, TransitPool, TransitView
 
 
@@ -33,6 +38,13 @@ class Scheduler(ABC):
     """Strategy deciding the delivery order of in-transit messages."""
 
     name = "scheduler"
+
+    post = None
+    """Optional ``post(uid, sender, recipient)`` hook. A scheduler that
+    orders messages by when they entered the pool defines it, and the
+    kernel then calls it for each message as it enters: a send that
+    survives its fault fate and each duplicate copy, each start signal,
+    and each held message a heal or restart puts back."""
 
     def reset(self, seed: int) -> None:
         """Prepare for a fresh run (re-seed any internal randomness)."""
@@ -255,6 +267,43 @@ class RushingScheduler(Scheduler):
         fast = [m for m in in_transit if m.sender in self.favoured]
         pool = fast if fast else list(in_transit)
         return min(pool, key=lambda m: m.uid).uid
+
+
+class LatencyScheduler(Scheduler):
+    """Deliver in order of virtual arrival time under a latency model.
+
+    Each message draws its in-flight delay from the model's per-edge
+    stream when the kernel posts it, at the current virtual time (the
+    arrival time of the latest delivery), and lands on the run's
+    :class:`~repro.net.router.MemoryTransport` heap keyed ``(arrival, post
+    order)``. ``choose`` pops the earliest entry whose uid is still in
+    transit, so zero latency replays global send order — the fifo
+    schedule. The heap is lazy: entries of dropped or withdrawn messages
+    are discarded when they surface, and a message withdrawn in flight
+    (its recipient crashed) and reinstated before its old entry surfaces
+    is delivered by that old entry; the fresh draw it got on release is
+    then the stale one.
+    """
+
+    def __init__(self, latency: LatencyModel | str) -> None:
+        if isinstance(latency, str):
+            latency = latency_from_name(latency)
+        self.latency = latency
+        self.name = f"latency({latency.name})"
+        self._wire = None
+
+    def reset(self, seed: int) -> None:
+        from repro.net.router import MemoryTransport
+
+        self.latency.reset(seed)
+        self._wire = MemoryTransport()
+
+    def post(self, uid: int, sender: int, recipient: int) -> None:
+        wire = self._wire
+        wire.post(uid, self.latency.delay(sender, recipient, wire.now))
+
+    def choose(self, in_transit: TransitPool, step: int) -> Optional[int]:
+        return self._wire.pop(in_transit.has_uid)
 
 
 class RelaxedScheduler(Scheduler):

@@ -238,6 +238,11 @@ MALFORMED_ABA = [("aux", 0), ("bval",), ("bval", 0, 1, 2), ("aux", "0", 1),
                  None, 7]
 MALFORMED_RBC = [("echo",), ("ready", "v", "w"), "init", (), None,
                  ("echo", ["unhashable"]), ("ready", {"v": 1})]
+MALFORMED_ENVELOPES = ["hello", None, 7, ("x", "y"), (("no-such-kind", 1), "x"),
+                       (([1], 2), "x"), ((), "x"), (("acs", "r"), "x")]
+"""Whole messages no honest host sends: non-session payloads, sids of an
+unregistered kind, unhashable or empty sids, and a direct message to an
+ACS session (whose traffic all goes through its ABA children)."""
 
 
 class TestMalformedMessages:
@@ -284,6 +289,20 @@ class TestMalformedMessages:
         hosts, _ = run_hosts(4, 1, on_ready=kick,
                              byzantine={3: self._spammer(noise)})
         assert results_for(hosts, sid) == {0: "v", 1: "v", 2: "v"}
+
+    def test_malformed_envelopes_are_ignored(self):
+        sid = rbc_sid(0, "x")
+
+        def kick(host):
+            if host.me == 0:
+                host.open_session(sid).input("v")
+
+        silent, _ = run_hosts(4, 1, on_ready=kick,
+                              byzantine={3: CrashProcess()})
+        noisy, _ = run_hosts(4, 1, on_ready=kick,
+                             byzantine={3: self._spammer(MALFORMED_ENVELOPES)})
+        assert results_for(silent, sid) == {0: "v", 1: "v", 2: "v"}
+        assert results_for(noisy, sid) == results_for(silent, sid)
 
 
 class TestACS:

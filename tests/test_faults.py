@@ -35,10 +35,9 @@ from repro.faults.masking import (
     run_faultcheck,
 )
 from repro.net.conformance import check_conformance
-from repro.net.runtime import NetRuntime
 from repro.sim.process import Process
 from repro.sim.runtime import Runtime
-from repro.sim.scheduler import FifoScheduler
+from repro.sim.scheduler import FifoScheduler, LatencyScheduler
 
 
 # -- a chatty deterministic protocol for runtime-level tests ------------------
@@ -175,8 +174,8 @@ class TestChaosDeterminism:
     def test_faulted_zero_latency_net_matches_the_kernel(self):
         plan = "crash@p1s3+drop-0.3"
         sim = sim_run(faults=plan)
-        net = NetRuntime(
-            gossipers(4), latency="zero", seed=3, faults=plan
+        net = Runtime(
+            gossipers(4), LatencyScheduler("zero"), seed=3, faults=plan
         ).run()
         assert net.outputs == sim.outputs
         assert net.halted == sim.halted
@@ -185,8 +184,8 @@ class TestChaosDeterminism:
 
     def test_faulted_net_repeats_are_byte_identical(self):
         runs = [
-            NetRuntime(
-                gossipers(4), latency="lognormal@m5s2", seed=9,
+            Runtime(
+                gossipers(4), LatencyScheduler("lognormal@m5s2"), seed=9,
                 faults="drop-0.2+dup-0.2",
             ).run()
             for _ in range(2)

@@ -32,6 +32,7 @@ GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden_traffic.json")
 def _golden_specs() -> dict:
     """label -> ScenarioSpec; the cells whose traffic is pinned."""
     honest = get_scenario("thm41-honest")
+    faultcheck = get_scenario("faultcheck-thm41")
     return {
         "thm41-honest-n9-payloads": honest.replace(record_payloads=True),
         "thm41-honest-n13-random": honest.replace(
@@ -48,6 +49,13 @@ def _golden_specs() -> dict:
         "sec64-leak-attack-colluding": get_scenario("sec64-leak-attack"),
         "faultcheck-thm41": get_scenario("faultcheck-thm41"),
         "netcheck-thm41-memory": get_scenario("netcheck-thm41"),
+        # Every faultcheck plan under seeded latency, payloads traced:
+        # pins release-time re-draws, the lazy heap's withdrawn-then-
+        # reinstated deliveries, dups and drops.
+        "netcheck-thm41-memory-faults": get_scenario("netcheck-thm41").replace(
+            faults=faultcheck.faults, seed_count=1, record_payloads=True
+        ),
+        "netcheck-sec64-memory": get_scenario("netcheck-sec64"),
     }
 
 

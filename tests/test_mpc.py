@@ -8,7 +8,13 @@ from repro.circuits import Circuit
 from repro.errors import ProtocolError
 from repro.field import GF, SMALL_PRIME, DEFAULT_PRIME, lagrange_interpolate
 from repro.mpc import MpcEngine, TrustedSetup, mpc_sid, x_of
-from repro.mpc.avss import AsyncVerifiableSS, avss_sid, deal_symmetric_bivariate, row_polynomial
+from repro.mpc.avss import (
+    AsyncVerifiableSS,
+    avss_open_sid,
+    avss_sid,
+    deal_symmetric_bivariate,
+    row_polynomial,
+)
 from repro.mpc.engine import WireShare
 from repro.mpc.shamir import reconstruct, robust_reconstruct, share_secret
 from repro.sim import (
@@ -475,3 +481,72 @@ class TestAVSS:
                     host.open_session(sid).input(5)
 
         run_hosts(3, 0, on_ready=kick, config={"field": F})
+
+
+MALFORMED_MPC = [(), ("osh",), ("osh", "k", 5), ("osh", "k", 5, None, 0),
+                 ("osh", ["k"], 5, None), ("osh", "k", 5, "mac"),
+                 ("osh", "k", "5", None), "osh", None, 7]
+MALFORMED_AVSS = [(), ("pt",), ("ready",), ("row",), ("pt", 1, 2), "pt", None,
+                  7, ("ready", ("x",)), ("ready", [1, 2]), ("pt", "1")]
+MALFORMED_AVSS_OPEN = [(), ("share",), ("share", 1, 2), ("share", "1"),
+                       "share", None, 7]
+
+
+class TestMalformedMessages:
+    """One Byzantine peer's malformed messages are noise: honest hosts
+    finish with the result they reach when that peer is silent."""
+
+    @staticmethod
+    def _spammer(n, messages):
+        def behaviour(ctx, sender, payload):
+            if sender is None:
+                for pid in range(n):
+                    if pid != ctx.pid:
+                        for message in messages:
+                            ctx.send(pid, message)
+
+        return ScriptedByzantine(behaviour)
+
+    def test_malformed_mpc_messages_are_ignored(self):
+        n, t = 5, 1
+        circuit = build_demo_circuit(n)
+        inputs = {p: 1 for p in range(n)}
+        noise = [(mpc_sid("test"), bad) for bad in MALFORMED_MPC]
+        silent, _, _, _ = run_engine(n, t, circuit, inputs,
+                                     byzantine={4: CrashProcess()})
+        noisy, _, _, _ = run_engine(n, t, circuit, inputs,
+                                    byzantine={4: self._spammer(n, noise)})
+        assert silent[0]["sum"] == 4
+        assert noisy == silent
+
+    def test_malformed_avss_messages_are_ignored(self):
+        n, t, secret = 5, 1, 29
+        sid = avss_sid(0, "s")
+
+        def kick(host):
+            if host.me == 0:
+                host.open_session(sid).input(secret)
+
+        noise = [(sid, bad) for bad in MALFORMED_AVSS]
+        silent, _ = run_hosts(n, t, on_ready=kick, config={"field": F},
+                              byzantine={4: CrashProcess()})
+        noisy, _ = run_hosts(n, t, on_ready=kick, config={"field": F},
+                             byzantine={4: self._spammer(n, noise)})
+        assert set(results_for(silent, sid)) == {0, 1, 2, 3}
+        assert results_for(noisy, sid) == results_for(silent, sid)
+
+    def test_malformed_avss_open_messages_are_ignored(self):
+        n, t, secret = 5, 1, 17
+        sid = avss_open_sid(0, "s")
+        shares = share_secret(F, secret, t, list(range(n)), random.Random(3))
+
+        def kick(host):
+            host.open_session(sid).contribute(shares[host.me])
+
+        noise = [(sid, bad) for bad in MALFORMED_AVSS_OPEN]
+        silent, _ = run_hosts(n, t, on_ready=kick, config={"field": F},
+                              byzantine={4: CrashProcess()})
+        noisy, _ = run_hosts(n, t, on_ready=kick, config={"field": F},
+                             byzantine={4: self._spammer(n, noise)})
+        assert results_for(silent, sid) == {p: secret for p in range(4)}
+        assert results_for(noisy, sid) == results_for(silent, sid)

@@ -1,10 +1,11 @@
-"""The real-network substrate: determinism, conformance, TCP smoke.
+"""The network substrate: determinism, conformance, TCP smoke.
 
 Invariant 9: a net run must be record-equivalent to the simulated-kernel
-run of the same spec. The in-memory transport is held to the strong form
-(byte-identical repeats; zero latency reproduces the fifo schedule
-exactly, traces included); the TCP transport to the relaxed form (payoffs
-and outcome taxonomy only).
+run of the same spec. ``runtime="net"`` — the kernel under a
+``LatencyScheduler`` — is held to the strong form (byte-identical
+repeats; zero latency reproduces the fifo schedule exactly, traces
+included); TCP runs to the relaxed form (payoffs and outcome taxonomy
+only).
 """
 
 import pytest
@@ -31,9 +32,10 @@ from repro.net.latency import (
     register_latency,
 )
 from repro.net.runtime import NetRuntime
-from repro.sim.process import Process
-from repro.sim.runtime import Runtime
-from repro.sim.scheduler import FifoScheduler
+from repro.sim.network import Network
+from repro.sim.process import FuncProcess, Process
+from repro.sim.runtime import ENVIRONMENT_PID as ENV, Runtime
+from repro.sim.scheduler import FifoScheduler, LatencyScheduler
 
 
 # -- a tiny deterministic protocol for runtime-level tests --------------------
@@ -139,12 +141,12 @@ class TestLatencyNames:
         assert 0.0 <= pre <= 8.0
 
 
-# -- NetRuntime determinism ---------------------------------------------------
+# -- net determinism: the kernel under LatencyScheduler ------------------------
 
 class TestNetRuntimeDeterminism:
     def test_zero_latency_matches_fifo_kernel_byte_for_byte(self):
         sim = Runtime(pingers(4), FifoScheduler(), seed=3).run()
-        net = NetRuntime(pingers(4), latency="zero", seed=3).run()
+        net = Runtime(pingers(4), LatencyScheduler("zero"), seed=3).run()
         assert net.outputs == sim.outputs
         assert net.halted == sim.halted
         assert net.steps == sim.steps
@@ -155,22 +157,26 @@ class TestNetRuntimeDeterminism:
         assert trace_tuples(net) == trace_tuples(sim)
 
     def test_seeded_latency_repeats_are_byte_identical(self):
+        scheduler = LatencyScheduler("lognormal@m5s2")
         runs = [
-            NetRuntime(pingers(4), latency="lognormal@m5s2", seed=9).run()
-            for _ in range(2)
+            Runtime(pingers(4), scheduler, seed=9).run() for _ in range(2)
         ]
         assert runs[0].outputs == runs[1].outputs
         assert runs[0].steps == runs[1].steps
         assert trace_tuples(runs[0]) == trace_tuples(runs[1])
 
     def test_different_seeds_give_different_schedules(self):
-        one = NetRuntime(pingers(4), latency="lognormal@m5s2", seed=1).run()
-        two = NetRuntime(pingers(4), latency="lognormal@m5s2", seed=2).run()
+        one = Runtime(
+            pingers(4), LatencyScheduler("lognormal@m5s2"), seed=1
+        ).run()
+        two = Runtime(
+            pingers(4), LatencyScheduler("lognormal@m5s2"), seed=2
+        ).run()
         assert trace_tuples(one) != trace_tuples(two)
 
-    def test_unknown_transport_rejected(self):
-        with pytest.raises(NetError, match="unknown transport"):
-            NetRuntime(pingers(2), transport="carrier-pigeon")
+    def test_unknown_latency_rejected(self):
+        with pytest.raises(NetError, match="unknown latency model"):
+            LatencyScheduler("carrier-pigeon")
 
     def test_empty_process_set_rejected(self):
         with pytest.raises(SimulationError):
@@ -189,12 +195,115 @@ class TestNetRuntimeDeterminism:
 
     def test_tcp_transport_matches_outputs(self):
         sim = Runtime(pingers(3), FifoScheduler(), seed=5).run()
-        net = NetRuntime(
-            pingers(3), latency="fixed-2", seed=5, transport="tcp"
-        ).run()
+        net = NetRuntime(pingers(3), latency="fixed-2", seed=5).run()
         assert net.outputs == sim.outputs
         assert net.halted == sim.halted
         assert net.messages_sent == sim.messages_sent
+
+
+class Scripted(LatencyModel):
+    """Per-edge scripted delays; logs ``(sender, recipient, now)`` per draw."""
+
+    name = "scripted"
+
+    def __init__(self, script):
+        self.script = script
+
+    def reset(self, seed):
+        super().reset(seed)
+        self.queues = {edge: list(delays) for edge, delays in self.script.items()}
+        self.draws = []
+
+    def delay(self, sender, recipient, now):
+        self.draws.append((sender, recipient, now))
+        return self.queues[(sender, recipient)].pop(0)
+
+
+class TestLatencyScheduler:
+    def test_equal_arrivals_break_ties_by_post_order(self):
+        network = Network()
+        scheduler = LatencyScheduler("fixed-2")
+        scheduler.reset(0)
+        msgs = [network.send(0, r, "x", 0, 1) for r in (1, 2, 3)]
+        for msg in reversed(msgs):
+            scheduler.post(msg.uid, msg.sender, msg.recipient)
+        uids = [msg.uid for msg in msgs]
+        order = []
+        while len(network):
+            uid = scheduler.choose(network.view(), 0)
+            network.deliver(uid, 0)
+            order.append(uid)
+        assert order == list(reversed(uids))
+
+    def test_held_messages_get_fresh_draws_at_release_in_uid_order(self):
+        # 0's two start sends cross the cut and are held; the heal at step
+        # 4 (virtual time 2) posts them in uid order with draws at t=2.
+        model = Scripted({
+            (ENV, 0): [1], (ENV, 1): [1], (ENV, 2): [1],
+            (0, 1): [1], (0, 2): [1], (1, 2): [1], (2, 1): [1],
+        })
+        scheduler = LatencyScheduler(model)
+        posted = []
+        post = scheduler.post
+
+        def recording_post(uid, sender, recipient):
+            posted.append(uid)
+            post(uid, sender, recipient)
+
+        scheduler.post = recording_post
+        procs = {
+            0: FuncProcess(on_start=lambda ctx: (ctx.send(1, "a"),
+                                                 ctx.send(2, "b")),
+                           on_message=lambda ctx, s, p: None),
+            1: FuncProcess(on_start=lambda ctx: ctx.send(2, "c"),
+                           on_message=lambda ctx, s, p: None),
+            2: FuncProcess(on_start=lambda ctx: ctx.send(1, "d"),
+                           on_message=lambda ctx, s, p: None),
+        }
+        result = Runtime(
+            procs, scheduler, seed=0, faults="partition@{0}t0h4"
+        ).run()
+        assert posted == [0, 1, 2, 5, 6, 3, 4]
+        assert model.draws == [
+            (ENV, 0, 0.0), (ENV, 1, 0.0), (ENV, 2, 0.0),
+            (1, 2, 1.0), (2, 1, 1.0), (0, 1, 2.0), (0, 2, 2.0),
+        ]
+        assert result.messages_delivered == 7
+        delivered = [e.uid for e in result.trace.events if e.kind == "deliver"]
+        assert delivered == [0, 1, 2, 5, 6, 3, 4]
+
+    @pytest.mark.parametrize("redraw,arrival", [(20, 11.0), (5, 7.0)])
+    def test_reinstated_message_is_delivered_by_its_earlier_entry(
+        self, redraw, arrival
+    ):
+        # "m" (0 -> 1) is posted at t=1 to arrive at t=11; 1 crashes at
+        # step 3 with "m" in flight and restarts at step 4 (t=2), which
+        # re-posts "m" with a fresh draw. "m" is delivered once, at the
+        # earlier of its two heap entries: the old one at t=11 unless the
+        # re-draw lands sooner. 1's ack is drawn at that arrival time.
+        model = Scripted({
+            (ENV, 0): [1], (ENV, 1): [1], (ENV, 2): [1],
+            (0, 1): [10, redraw], (2, 0): [1], (1, 0): [1],
+        })
+        procs = {
+            0: FuncProcess(on_start=lambda ctx: ctx.send(1, "m"),
+                           on_message=lambda ctx, s, p: None),
+            1: FuncProcess(on_message=lambda ctx, s, p: ctx.send(0, "ack")),
+            2: FuncProcess(on_start=lambda ctx: ctx.send(0, "x"),
+                           on_message=lambda ctx, s, p: None),
+        }
+        result = Runtime(
+            procs, LatencyScheduler(model), seed=0,
+            faults="crash-restart@p1s3r4",
+        ).run()
+        assert model.draws[-2:] == [(0, 1, 2.0), (1, 0, arrival)]
+        assert result.messages_sent == 3 + 3
+        assert result.messages_delivered == 3 + 3
+        delivered = [
+            (e.sender, e.recipient) for e in result.trace.events
+            if e.kind == "deliver"
+        ]
+        assert delivered.count((0, 1)) == 1
 
 
 # -- scenario-level conformance (the PR 5/6 record-diff oracle) ---------------

@@ -52,6 +52,13 @@ class Session:
     """
 
     protocol_name = "session"
+    sid_len: Optional[int] = None
+    """Length of a well-formed sid, or None when any length is. A peer's
+    message under a sid of another length is noise."""
+
+    @classmethod
+    def accepts(cls, sid: tuple) -> bool:
+        return cls.sid_len is None or len(sid) == cls.sid_len
 
     def __init__(self, host: "SessionHost", sid: tuple) -> None:
         self.host = host
@@ -152,6 +159,8 @@ class SessionHost(Process):
             cls = SESSION_REGISTRY.get(sid[0])
             if cls is None:
                 raise ProtocolError(f"unknown session type in sid {sid!r}")
+        if not cls.accepts(sid):
+            raise ProtocolError(f"malformed {cls.protocol_name} sid {sid!r}")
         session = cls(self, sid)
         self.sessions[sid] = session
         session.start()
@@ -226,10 +235,12 @@ class SessionHost(Process):
                     return  # unhashable sid: Byzantine noise
                 if session is None:
                     # A peer's message opens the local endpoint of a session
-                    # of a registered kind; any other sid is noise.
-                    if not sid or sid[0] not in SESSION_REGISTRY:
+                    # of a registered kind under a well-formed sid; any
+                    # other sid is noise.
+                    cls = SESSION_REGISTRY.get(sid[0]) if sid else None
+                    if cls is None or not cls.accepts(sid):
                         return
-                    session = self.open_session(sid)
+                    session = self.open_session(sid, cls)
                 session.handle(sender, inner)
                 if self._pending_sends:
                     self._flush_pending()

@@ -27,6 +27,8 @@ def rbc_sid(dealer: int, tag: Any) -> tuple:
 class ReliableBroadcast(Session):
     """One endpoint of a Bracha broadcast instance."""
 
+    sid_len = 3
+
     def __init__(self, host, sid) -> None:
         super().__init__(host, sid)
         _, self.dealer, self.tag = sid

@@ -23,15 +23,15 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Optional, Sequence
-
-import numpy as np
-from scipy.optimize import linprog
+from typing import TYPE_CHECKING, Any, Optional, Sequence
 
 from repro.errors import GameError
 from repro.games.bayesian import BayesianGame
 from repro.games.outcomes import conditional_expected_utility
 from repro.games.strategies import JointDeviation, PureStrategy, StrategyProfile
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _TOL = 1e-9
 
@@ -76,6 +76,8 @@ def _coalition_payoff_matrix(
     x_k: tuple,
 ) -> tuple[list[tuple], np.ndarray]:
     """Rows: joint coalition actions; columns: coalition members' utilities."""
+    import numpy as np
+
     action_tuples = list(itertools.product(*(game.action_sets[i] for i in coalition)))
     matrix = np.zeros((len(action_tuples), len(coalition)))
     for row, actions in enumerate(action_tuples):
@@ -94,6 +96,8 @@ def _baseline(
     x_k: tuple,
     members: Sequence[int],
 ) -> np.ndarray:
+    import numpy as np
+
     return np.array(
         [
             conditional_expected_utility(game, profile, i, coalition, x_k)
@@ -108,6 +112,9 @@ def _max_min_gain(matrix: np.ndarray, baseline: np.ndarray) -> float:
     This is the coalition's best guaranteed improvement: positive means some
     (possibly correlated, mixed) deviation makes *every* member better off.
     """
+    import numpy as np
+    from scipy.optimize import linprog
+
     n_rows, n_cols = matrix.shape
     # Variables: w_0..w_{r-1}, eps. Maximize eps.
     c = np.zeros(n_rows + 1)
@@ -339,6 +346,8 @@ def check_kt_robust(
     this is exact because the relevant extremal deviations are pure — see
     DESIGN.md §6).
     """
+    import numpy as np
+
     concept = ("strong " if strong else "") + (
         f"{epsilon}-" if epsilon else ""
     ) + f"({k},{t})-robustness"

@@ -21,8 +21,6 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Optional, Sequence
 
-import numpy as np
-
 from repro.errors import GameError
 from repro.games.library import GameSpec
 from repro.games.solution import SolutionReport, Violation, _coalitions, _max_min_gain
@@ -210,6 +208,8 @@ def check_ideal_k_resilience(
     ``fixed_behavior`` pins a malicious coalition T to a deviation while K
     is searched (used by the robustness checker).
     """
+    import numpy as np
+
     label = ("strong " if strong else "") + (
         f"{epsilon}-" if epsilon else ""
     ) + f"ideal-{k}-resilience"

@@ -123,6 +123,8 @@ def row_polynomial(field: GF, coeffs: list[list[GFElement]], x: int) -> Polynomi
 class AsyncVerifiableSS(Session):
     """One endpoint of an AVSS instance."""
 
+    sid_len = 3
+
     def __init__(self, host, sid) -> None:
         super().__init__(host, sid)
         _, self.dealer, self.tag = sid

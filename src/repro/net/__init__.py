@@ -10,15 +10,16 @@ ways:
   byte-reproducible from the seed;
 * ``runtime="net-tcp"`` — :class:`~repro.net.runtime.NetRuntime`, the
   same :class:`~repro.sim.process.Process` objects as per-node asyncio
-  tasks wired through a :class:`~repro.net.router.Router` over real
+  tasks wired through a :class:`~repro.net.runtime.Router` over real
   localhost TCP sockets.
 
 ``repro.net.conformance`` holds the oracle that keeps both
 record-equivalent to the kernel's other schedules.
 
-Exports are lazy so importing the latency vocabulary (which
-``repro.experiments.spec`` validates against) never pulls in asyncio
-machinery.
+Only ``repro.net.runtime`` and ``repro.net.tcp`` import asyncio. Exports
+are lazy, so importing the latency vocabulary (which
+``repro.experiments.spec`` validates against) or running a kernel net
+cell never loads it.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ _LAZY = {
     "latency_from_name": ("repro.net.latency", "latency_from_name"),
     "latency_names": ("repro.net.latency", "latency_names"),
     "register_latency": ("repro.net.latency", "register_latency"),
-    "Router": ("repro.net.router", "Router"),
+    "Router": ("repro.net.runtime", "Router"),
     "MemoryTransport": ("repro.net.router", "MemoryTransport"),
     "TcpTransport": ("repro.net.tcp", "TcpTransport"),
     "NetRuntime": ("repro.net.runtime", "NetRuntime"),

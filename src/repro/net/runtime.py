@@ -7,8 +7,8 @@ object (imported from ``repro.sim.process``), the same
 :class:`~repro.sim.network.Network` keeps uid/batch/counter bookkeeping,
 and the run ends in the same :class:`~repro.sim.runtime.RunResult` with
 the kernel's quiesce taxonomy. What changes is *who decides delivery
-order*: every node is a live asyncio task behind a
-:class:`~repro.net.router.Router`, every protocol message crosses a
+order*: every node is a live asyncio task behind a :class:`Router`
+(defined here, its only user), every protocol message crosses a
 :class:`~repro.net.tcp.TcpTransport` socket after a
 :class:`~repro.net.latency.LatencyModel` delay, and messages are
 delivered in the order they come off the wire.
@@ -33,7 +33,6 @@ from typing import Any, Optional, Union
 from repro.errors import SimulationError, StepLimitExceeded
 from repro.faults.injector import injector_for
 from repro.net.latency import LatencyModel, latency_from_name
-from repro.net.router import Router
 from repro.net.tcp import TcpTransport
 from repro.obs.metrics import registry as obs_registry
 from repro.obs.tracing import span as obs_span
@@ -42,6 +41,41 @@ from repro.sim.process import Context, Process
 from repro.sim.runtime import ENVIRONMENT_PID, RunResult
 from repro.sim.trace import Trace, TraceEvent
 from repro.utils.rng import RngTree
+
+
+class Router:
+    """Per-process inbox queues plus the serialized done-token channel.
+
+    Wires :class:`NetRuntime` in the HoneyBadgerMPC ``test_router`` idiom:
+    every node owns an inbox queue, a central dispatcher hands it each
+    message that arrived off a socket, and the node tasks are plain
+    consumers. Each delivery is a serialized handshake — the dispatcher
+    enqueues the message and *awaits* the node's done token before taking
+    the next one — so handler side effects (sends, outputs, halts) never
+    interleave even though every node runs as its own asyncio task.
+    """
+
+    def __init__(self, pids) -> None:
+        self._inboxes = {pid: asyncio.Queue() for pid in sorted(pids)}
+        self._done: asyncio.Queue = asyncio.Queue()
+
+    def inbox(self, pid: int) -> asyncio.Queue:
+        return self._inboxes[pid]
+
+    async def dispatch(self, pid: int, item) -> None:
+        """Hand ``item`` to node ``pid`` and wait for its activation to end.
+
+        Re-raises whatever the node's handler raised, so protocol errors
+        propagate out of the run loop exactly like in the simulated kernel.
+        """
+        self._inboxes[pid].put_nowait(item)
+        error = await self._done.get()
+        if error is not None:
+            raise error
+
+    def finish(self, error: Optional[BaseException] = None) -> None:
+        """Node side: signal the current activation completed (or failed)."""
+        self._done.put_nowait(error)
 
 
 class NetRuntime:

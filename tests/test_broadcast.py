@@ -2,10 +2,12 @@
 
 import pytest
 
-from repro.broadcast import SessionHost, coin_value
+from repro.broadcast import SESSION_REGISTRY, SessionHost, coin_value
 from repro.broadcast.rbc import rbc_sid
 from repro.broadcast.aba import aba_sid
 from repro.broadcast.acs import acs_sid
+from repro.errors import ProtocolError
+from repro.mpc.avss import AsyncVerifiableSS
 from repro.sim import (
     BatchRandomScheduler,
     EagerScheduler,
@@ -239,10 +241,15 @@ MALFORMED_ABA = [("aux", 0), ("bval",), ("bval", 0, 1, 2), ("aux", "0", 1),
 MALFORMED_RBC = [("echo",), ("ready", "v", "w"), "init", (), None,
                  ("echo", ["unhashable"]), ("ready", {"v": 1})]
 MALFORMED_ENVELOPES = ["hello", None, 7, ("x", "y"), (("no-such-kind", 1), "x"),
-                       (([1], 2), "x"), ((), "x"), (("acs", "r"), "x")]
+                       (([1], 2), "x"), ((), "x"), (("acs", "r"), "x"),
+                       (("rbc", 1), ("init", "v")), (("rbc",), ("init", "v")),
+                       (("rbc", 1, 2, 3), ("init", "v")),
+                       (("avss", 1), ("share", 1)), (("avss",), ("share", 1))]
 """Whole messages no honest host sends: non-session payloads, sids of an
-unregistered kind, unhashable or empty sids, and a direct message to an
-ACS session (whose traffic all goes through its ABA children)."""
+unregistered kind, unhashable or empty sids, a direct message to an ACS
+session (whose traffic all goes through its ABA children), and RBC and
+AVSS sids of the wrong length, whose constructors unpack
+``(kind, dealer, tag)``."""
 
 
 class TestMalformedMessages:
@@ -303,6 +310,19 @@ class TestMalformedMessages:
                              byzantine={3: self._spammer(MALFORMED_ENVELOPES)})
         assert results_for(silent, sid) == {0: "v", 1: "v", 2: "v"}
         assert results_for(noisy, sid) == results_for(silent, sid)
+
+    def test_local_open_of_malformed_sid_raises(self):
+        assert SESSION_REGISTRY["avss"] is AsyncVerifiableSS
+        opened = []
+
+        def kick(host):
+            for sid in (("rbc", 1), ("rbc", 1, 2, 3), ("avss",)):
+                with pytest.raises(ProtocolError, match="malformed"):
+                    host.open_session(sid)
+            opened.append(host.me)
+
+        run_hosts(2, 0, on_ready=kick)
+        assert opened == [0, 1]
 
 
 class TestACS:

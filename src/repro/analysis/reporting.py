@@ -1,8 +1,7 @@
 """Plain-text rendering for reports and experiment tables.
 
 Everything in the analysis layer returns structured report objects; this
-module turns them into aligned text tables for the CLI, the examples, and
-the benchmark output files.
+module turns them into aligned text tables for the CLI and the examples.
 """
 
 from __future__ import annotations

@@ -17,8 +17,9 @@ exchange for two players sampling a correlated-equilibrium cell:
   at the decisive round, which happens with probability ≤ ε.
 
 Expected messages: each round costs 2 messages and E[r*] = 1/ε, so the
-expected total is ≈ 2/ε + O(1) — the O(1/ε) behaviour the benchmark
-measures against the bounded-message punishment compiler.
+expected total is ≈ 2/ε + O(1) — the O(1/ε) behaviour that
+``tests/test_baselines.py`` checks, against the ε-independent message
+count of the punishment-based compilers.
 """
 
 from __future__ import annotations

@@ -55,6 +55,10 @@ class Session:
     sid_len: Optional[int] = None
     """Length of a well-formed sid, or None when any length is. A peer's
     message under a sid of another length is noise."""
+    peer_opened = True
+    """Whether a peer's message may open this kind of session. When False,
+    only a local ``open_session`` creates one, and a peer's message under
+    a sid not yet open here is noise."""
 
     @classmethod
     def accepts(cls, sid: tuple) -> bool:
@@ -235,10 +239,14 @@ class SessionHost(Process):
                     return  # unhashable sid: Byzantine noise
                 if session is None:
                     # A peer's message opens the local endpoint of a session
-                    # of a registered kind under a well-formed sid; any
-                    # other sid is noise.
+                    # of a registered, peer-opened kind under a well-formed
+                    # sid; any other sid is noise.
                     cls = SESSION_REGISTRY.get(sid[0]) if sid else None
-                    if cls is None or not cls.accepts(sid):
+                    if (
+                        cls is None
+                        or not cls.peer_opened
+                        or not cls.accepts(sid)
+                    ):
                         return
                     session = self.open_session(sid, cls)
                 session.handle(sender, inner)

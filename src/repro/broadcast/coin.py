@@ -2,14 +2,14 @@
 
 The ABA protocol needs, per round, a random bit that all honest parties
 agree on and that the adversary cannot bias. BCG obtain it from AVSS-based
-secret-sharing machinery; per DESIGN.md §3 we substitute a *dealt common
-random sequence*: the trusted offline setup places a seed in every host's
-config, and the coin for tag ``x`` is a hash of (seed, x). This preserves
-the property the theorems consume — ABA terminates with probability 1, in
-expected O(1) rounds — under our adversary model (schedulers cannot read
-host configs; deviating players learning coins early can bias *their own*
-messages but cannot stall honest parties, whose round structure does not
-depend on predicting the coin).
+secret-sharing machinery; per PAPER.md, "Modelling substitutions", we
+substitute a *dealt common random sequence*: the trusted offline setup
+places a seed in every host's config, and the coin for tag ``x`` is a hash
+of (seed, x). This preserves the property the theorems consume — ABA
+terminates with probability 1, in expected O(1) rounds — under our
+adversary model (schedulers cannot read host configs; deviating players
+learning coins early can bias *their own* messages but cannot stall honest
+parties, whose round structure does not depend on predicting the coin).
 """
 
 from __future__ import annotations

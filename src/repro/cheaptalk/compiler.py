@@ -7,9 +7,10 @@ substrate (errorless BCG-style engine or statistical BKR-style engine),
 deadlock approach, and wills.
 
 The bounds are enforced exactly as the paper states them. Our substrate
-(trusted offline setup instead of online AVSS, cf. DESIGN.md §3) would
-tolerate slightly weaker bounds in places; the compilers deliberately do
-not exploit that, so experiments measure the paper's own parameter space.
+(trusted offline setup instead of online AVSS, cf. PAPER.md, "Modelling
+substitutions") would tolerate slightly weaker bounds in places; the
+compilers deliberately do not exploit that, so experiments measure the
+paper's own parameter space.
 """
 
 from __future__ import annotations

@@ -3,9 +3,10 @@
 The companion-paper properties — t-cotermination (Def 5.3), t-emulation
 (Def 5.2), t-bisimulation (Def 5.1) — quantify over all adversaries and all
 schedulers; the checkers here evaluate them over a supplied *finite* family
-of adversaries and environments, which is how the experiment suite
-exercises Theorems 5.4/5.5 (E7 in DESIGN.md). A reported violation is a
-real counterexample; a pass certifies the property over the tested family.
+of adversaries and environments, which is how the tests exercise
+Theorems 5.4/5.5 (E7, ``TestSection5Properties`` in
+``tests/test_cheaptalk.py``). A reported violation is a real
+counterexample; a pass certifies the property over the tested family.
 """
 
 from __future__ import annotations

@@ -22,9 +22,6 @@ Commands:
   ``games show <name>`` prints one game's detail, including its
   declarative ``GameDef`` JSON when the game is defined as data
   (``consensus@n5``, ``random@n4s123``, ``file:my_game.json`` all work);
-* ``bench`` — run the unified quick-benchmark suite and emit one
-  ``bench_suite.json`` (``--baseline`` soft-warns on throughput
-  regressions without failing);
 * ``lint`` — run the repo's AST-based static analyzer (determinism,
   protocol-contract, and multiprocessing-safety rules) over source
   trees; ``--list-rules`` documents the rules, ``--diff <ref>`` restricts
@@ -820,75 +817,6 @@ def cmd_faults_check(args) -> None:
         raise SystemExit(1)
 
 
-def cmd_bench(args) -> None:
-    from repro.bench import (
-        bench_names,
-        compare_to_baseline,
-        load_suite,
-        run_suite,
-    )
-
-    try:
-        suite = run_suite(names=args.benches or None, quick=not args.full)
-    except ExperimentError as exc:
-        sys.exit(str(exc))
-    warnings = []
-    if args.baseline:
-        try:
-            warnings = compare_to_baseline(suite, load_suite(args.baseline))
-        except ExperimentError as exc:
-            sys.exit(str(exc))
-        suite["regressions"] = warnings
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(suite, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote {args.out}", file=sys.stderr)
-    if args.json:
-        print(json.dumps(suite, indent=2, sort_keys=True))
-    else:
-        rows = [
-            (
-                row["name"],
-                row["cells"],
-                f"{row['wall_s']:.3f}s",
-                f"{row['cells_per_s']:.1f}",
-                f"{row['speedup']:.2f}x" if "speedup" in row else "-",
-            )
-            for row in suite["benches"]
-        ]
-        print(format_table(
-            ["bench", "cells", "wall", "cells/s", "speedup vs cold"], rows
-        ))
-        totals = suite["totals"]
-        print(
-            f"\n{totals['benches']} bench(es) in {totals['wall_s']:.1f}s, "
-            f"geomean warm-over-cold speedup "
-            f"{totals['speedup_geomean']:.2f}x "
-            f"(known benches: {', '.join(bench_names())})"
-        )
-    # The regression check is a *soft* warn: report, never fail — CI decides
-    # what to do with the annotation.
-    for warning in warnings:
-        print(f"WARNING: bench regression — {warning}", file=sys.stderr)
-        if os.environ.get("GITHUB_ACTIONS"):
-            print(f"::warning title=bench regression::{warning}")
-    # Telemetry must stay cheap: the obs-overhead bench measures the same
-    # grid with metrics on and off; soft-warn past the budget, never fail.
-    from repro.bench import OBS_OVERHEAD_TOLERANCE
-
-    for row in suite["benches"]:
-        pct = row.get("overhead_pct")
-        if pct is not None and pct > 100 * OBS_OVERHEAD_TOLERANCE:
-            warning = (
-                f"{row['name']}: telemetry overhead {pct:.1f}% exceeds "
-                f"the {100 * OBS_OVERHEAD_TOLERANCE:.0f}% budget"
-            )
-            print(f"WARNING: {warning}", file=sys.stderr)
-            if os.environ.get("GITHUB_ACTIONS"):
-                print(f"::warning title=obs overhead::{warning}")
-
-
 def cmd_audit_frontier(args) -> None:
     from repro.audit import run_frontier
 
@@ -1555,25 +1483,6 @@ def build_parser() -> argparse.ArgumentParser:
                                   help="sweep t from 0 to T (default: the "
                                        "audit's t)")
     p_audit_frontier.set_defaults(func=cmd_audit_frontier)
-
-    p_bench = sub.add_parser(
-        "bench", help="run the unified benchmark suite (bench_suite.json)"
-    )
-    p_bench.add_argument("benches", nargs="*", metavar="bench",
-                         help="bench name(s) to run (default: all)")
-    p_bench.add_argument("--quick", action="store_true", default=True,
-                         help="quick mode: small grids (the default)")
-    p_bench.add_argument("--full", action="store_true",
-                         help="full mode: the larger measurement grids")
-    p_bench.add_argument("--json", action="store_true",
-                         help="print the bench_suite JSON document")
-    p_bench.add_argument("--out", default=None, metavar="PATH",
-                         help="also write the suite JSON to PATH")
-    p_bench.add_argument("--baseline", default=None, metavar="PATH",
-                         help="compare cells/sec against a committed "
-                              "baseline suite and soft-warn on >30%% "
-                              "regressions (never fails)")
-    p_bench.set_defaults(func=cmd_bench)
 
     p_lint = sub.add_parser(
         "lint",

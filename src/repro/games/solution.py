@@ -344,7 +344,7 @@ def check_kt_robust(
     Malicious strategies are enumerated over *pure* joint functions of x_T
     (sound for finding violations; for certification on the game library
     this is exact because the relevant extremal deviations are pure — see
-    DESIGN.md §6).
+    PAPER.md, "Modelling substitutions").
     """
     import numpy as np
 

@@ -61,9 +61,9 @@ class MinimalMediator(FnMediator):
     extra round-trips, whose only purpose is to let the mediator's
     simulated-scheduler choice range over all scheduler equivalence classes;
     the paper's bound R = (4rn)^{4rn} is astronomically large, so the class
-    selection is parameterised here (DESIGN.md §3) and the *behavioral*
-    construction — rounds of content-free messages, quorum of n-k-t,
-    simulate-and-STOP — is reproduced faithfully.
+    selection is parameterised here (PAPER.md, "Modelling substitutions")
+    and the *behavioral* construction — rounds of content-free messages,
+    quorum of n-k-t, simulate-and-STOP — is reproduced faithfully.
     """
 
 

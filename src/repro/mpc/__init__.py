@@ -15,7 +15,7 @@ secret-shared state:
 
 Offline material (input masks, Beaver triples, shared randomness, MAC keys)
 comes from :class:`TrustedSetup` — the documented substitution for the
-papers' offline subprotocols (DESIGN.md §3).
+papers' offline subprotocols (PAPER.md, "Modelling substitutions").
 """
 
 from repro.mpc.shamir import share_secret, reconstruct, robust_reconstruct, x_of

@@ -23,7 +23,8 @@ rows from up to t non-dealer parties):
 The full BCG machinery for arbitrarily inconsistent dealers (consistency-
 graph clique finding) is *not* reproduced; the MPC engines therefore take
 their inputs through the dealt-mask + reliable-broadcast path instead
-(DESIGN.md §3), and AVSS stands as an independently tested substrate.
+(PAPER.md, "Modelling substitutions"), and AVSS stands as an
+independently tested substrate.
 """
 
 from __future__ import annotations

@@ -147,6 +147,11 @@ class _Opening:
 class MpcEngine(Session):
     """One party's endpoint of a circuit evaluation."""
 
+    peer_opened = False
+    """Every host opens its own engine when it starts. An engine opened by
+    a peer's message would run a second evaluation on the same one-time
+    masks and triples, on inputs that peer chooses."""
+
     def __init__(self, host, sid) -> None:
         super().__init__(host, sid)
         self.circuit: Circuit = self.config("circuit")
@@ -370,10 +375,11 @@ class MpcEngine(Session):
                 poly = lagrange_interpolate(self.field, points[: self.t + 1])
                 opening.value = poly(0)
         elif self.config("naive_openings", False):
-            # Ablation mode (DESIGN.md §6): trust the first t+1 shares and
-            # interpolate exactly, with no error correction. A single
-            # wrong-share adversary corrupts the opening — the benchmarks
-            # use this to show why robust decoding is load-bearing.
+            # Ablation mode (PAPER.md, "Modelling substitutions"): trust
+            # the first t+1 shares and interpolate exactly, with no error
+            # correction. A single wrong-share adversary corrupts the
+            # opening; tests/test_mpc.py (TestRobustOpenings) uses this to
+            # show why robust decoding is load-bearing.
             for sender, (value, _mac) in sorted(opening.contributions.items()):
                 shares[sender] = value
             shares[self.me] = opening.mine.my_value(self.pack)

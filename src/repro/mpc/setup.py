@@ -1,8 +1,8 @@
 """Trusted offline setup: dealt masks, Beaver triples, randomness, MACs.
 
-This module is the documented substitution (DESIGN.md §3) for the offline
-subprotocols of BCG/BKR: a dealer — run *before* the asynchronous game
-starts, and never again — deals
+This module is the documented substitution (PAPER.md, "Modelling
+substitutions") for the offline subprotocols of BCG/BKR: a dealer — run
+*before* the asynchronous game starts, and never again — deals
 
 * an *input mask* ``r_p`` per input player p: a degree-t sharing of a random
   value whose cleartext is also given privately to p (the SPDZ-style input

@@ -29,7 +29,7 @@ Timing models are addressable by JSON-safe names (``"async"``,
 ``"lockstep"``, ``"bounded-16"``, ``"bounded-16@200"``) via
 :func:`timing_from_name`, which is what lets
 :class:`~repro.experiments.spec.ScenarioSpec` grids, the CLI
-(``repro run --timing ...``), and benchmarks sweep timing the way they
+(``repro run --timing ...``), and tests sweep timing the way they
 already sweep schedulers.
 
 To add a new model: subclass :class:`TimingModel` (implement

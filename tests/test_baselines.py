@@ -29,8 +29,9 @@ class TestEgl:
     def test_message_count_scales_inversely_with_epsilon(self):
         spec = chicken_game()
         loose = expected_messages(spec, 0.5, trials=60)
-        tight = expected_messages(spec, 0.05, trials=60)
-        assert tight > 4 * loose
+        for epsilon in (0.05, 0.02):
+            tight = expected_messages(spec, epsilon, trials=60)
+            assert tight > 4 * loose, epsilon
 
     def test_message_count_matches_geometric_mean(self):
         spec = chicken_game()

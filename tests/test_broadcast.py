@@ -18,6 +18,8 @@ from repro.sim import (
 
 from tests.helpers import CrashProcess, ScriptedByzantine, results_for, run_hosts
 
+LARGER_SIZES = [(7, 2), (10, 3)]  # n = 3t + 1 beyond the n = 4 tests
+
 SCHEDULERS = [
     FifoScheduler(),
     RandomScheduler(7),
@@ -56,6 +58,17 @@ class TestRBC:
         hosts, _ = run_hosts(4, 1, on_ready=kick, scheduler=scheduler)
         delivered = results_for(hosts, sid)
         assert delivered == {pid: "payload" for pid in range(4)}
+
+    @pytest.mark.parametrize("n,t", LARGER_SIZES)
+    def test_honest_dealer_delivers_at_larger_sizes(self, n, t):
+        sid = rbc_sid(0, "x")
+
+        def kick(host):
+            if host.me == 0:
+                host.open_session(sid).input("v")
+
+        hosts, _ = run_hosts(n, t, on_ready=kick)
+        assert results_for(hosts, sid) == {p: "v" for p in range(n)}
 
     def test_crashed_dealer_no_delivery_but_quiesce(self):
         sid = rbc_sid(0, "x")
@@ -170,6 +183,18 @@ class TestABA:
         )
         decisions = results_for(hosts, sid)
         assert len(decisions) == 7
+        assert len(set(decisions.values())) == 1
+
+    @pytest.mark.parametrize("n,t", LARGER_SIZES)
+    def test_mixed_inputs_agree_at_larger_sizes(self, n, t):
+        sid = aba_sid("vote")
+
+        def kick(host):
+            host.open_session(sid).propose(host.me % 2)
+
+        hosts, _ = run_hosts(n, t, on_ready=kick)
+        decisions = results_for(hosts, sid)
+        assert len(decisions) == n
         assert len(set(decisions.values())) == 1
 
     def test_invalid_input_rejected(self):
@@ -340,6 +365,18 @@ class TestACS:
         assert len(subsets) == 4
         (common,) = set(subsets.values())
         assert len(common) >= 3
+
+    @pytest.mark.parametrize("n,t", LARGER_SIZES)
+    def test_all_complete_at_larger_sizes(self, n, t):
+        sid = acs_sid("round")
+
+        def kick(host):
+            acs = host.open_session(sid)
+            for j in range(n):
+                acs.provide_input(j)
+
+        hosts, _ = run_hosts(n, t, on_ready=kick)
+        assert len(results_for(hosts, sid)) == n
 
     def test_crashed_party_excluded_or_tolerated(self):
         sid = acs_sid("round1")

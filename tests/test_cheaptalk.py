@@ -6,7 +6,9 @@ import pytest
 
 from repro.cheaptalk import (
     CheapTalkGame,
+    check_bisimulation,
     check_cotermination,
+    check_emulation,
     compile_theorem41,
     compile_theorem42,
     compile_theorem44,
@@ -14,7 +16,9 @@ from repro.cheaptalk import (
     mediator_circuit_for,
 )
 from repro.cheaptalk.circuits import output_label
+from repro.circuits import Circuit
 from repro.errors import CompilationError, MediatorError
+from repro.experiments import ExperimentRunner, get_scenario
 from repro.field import GF, DEFAULT_PRIME
 from repro.games.library import (
     BOT,
@@ -25,6 +29,7 @@ from repro.games.library import (
     section64_game,
     shamir_secret_game,
 )
+from repro.mediator import MediatorGame
 from repro.sim import FifoScheduler, RandomScheduler, scheduler_zoo
 
 from tests.helpers import CrashProcess
@@ -160,6 +165,22 @@ class TestTheorem41Runs:
             ones += run.actions[0]
         assert 4 <= ones <= 20  # fair-ish coin
 
+    @pytest.mark.parametrize("n", [9, 11, 13])
+    def test_registered_grid_agrees_at_every_size(self, n):
+        spec = get_scenario("thm41-honest").replace(
+            n=n, schedulers=("fifo",), seed_count=1
+        )
+        (record,) = ExperimentRunner().run(spec).records
+        assert record.agreed, record
+
+    def test_registered_crash_liar_cell_keeps_honest_agreement(self):
+        spec = get_scenario("thm41-crash-liar").replace(
+            schedulers=("fifo",), deviations=("crash+liar",), seed_count=1
+        )
+        (record,) = ExperimentRunner().run(spec).records
+        # The deviators are the last two players.
+        assert len(set(record.actions[:7])) == 1
+
 
 class TestTheorem42Runs:
     def test_consensus_at_tighter_bound(self):
@@ -186,6 +207,24 @@ class TestTheorem42Runs:
         )
         assert len(set(run.actions[:6])) == 1
 
+    @pytest.mark.parametrize("epsilon", [0.5, 0.05, 1e-3, 1e-9])
+    def test_every_requested_epsilon_coordinates(self, epsilon):
+        proto = compile_theorem42(consensus_game(7), 1, 1, epsilon=epsilon)
+        run = proto.game.run((0,) * 7, FifoScheduler(), seed=1)
+        assert len(set(run.actions)) == 1
+
+    def test_registered_grid_honest_and_mac_rejected_liar(self):
+        spec = get_scenario("thm42-epsilon").replace(
+            schedulers=("fifo",), seed_count=1
+        )
+        records = ExperimentRunner().run(spec).records
+        honest = [r for r in records if r.deviation == "honest"]
+        liar = [r for r in records if r.deviation == "lying-last"]
+        assert honest and all(r.agreed for r in honest)
+        assert liar and all(
+            len(set(r.actions[: spec.n - 1])) == 1 for r in liar
+        )
+
 
 class TestTheorem44Runs:
     def test_honest_run_reaches_equilibrium(self):
@@ -195,9 +234,10 @@ class TestTheorem44Runs:
         assert run.actions[0] in (0, 1)
 
     def test_single_staller_cannot_deadlock(self):
-        """Substrate-strength note (DESIGN.md §3): with dealt offline
-        material, a single staller at the Theorem 4.4 bound cannot block
-        the error-corrected openings — honest players still move."""
+        """Substrate-strength note (PAPER.md, "Modelling substitutions"):
+        with dealt offline material, a single staller at the Theorem 4.4
+        bound cannot block the error-corrected openings — honest players
+        still move."""
         from repro.analysis.deviations import ct_stall_after
 
         spec = section64_game(4, k=1)
@@ -244,6 +284,7 @@ class TestTheorem44Runs:
             run_s = proto.game.run(
                 (0,) * 4, FifoScheduler(), seed=seed, deviations=stall
             )
+            assert run_s.actions == (BOT,) * 4
             stalled.append(spec.game.utility(run_s.types, run_s.actions)[3])
         assert sum(stalled) / len(stalled) < sum(honest) / len(honest)
 
@@ -285,6 +326,84 @@ class TestTheorem45Runs:
             },
         )
         assert all(a == BOT for a in run.actions[:5])
+        # The stallers end below the 1.5 equilibrium payoff.
+        assert spec.game.utility(run.types, run.actions)[6] < 1.5
+
+
+@pytest.mark.slow
+class TestSection5Properties:
+    """E7 (Theorems 5.4/5.5) for Thm 4.1 at n=9 over fifo and random(5):
+    cotermination, and (0, t)-emulation and bisimulation of the mediator
+    game for the honest pair and for a crash of p8."""
+
+    @staticmethod
+    def family():
+        spec = consensus_game(9)
+        game = compile_theorem41(spec, 1, 1).game
+        return spec, game, [FifoScheduler(), RandomScheduler(5)]
+
+    def test_cotermination(self):
+        from repro.analysis.deviations import ct_crash, ct_stall_after
+
+        spec, game, schedulers = self.family()
+        report = check_cotermination(
+            game,
+            schedulers=schedulers,
+            adversaries=[
+                None,
+                {8: ct_crash()},
+                {7: ct_crash(), 8: ct_crash()},
+                {8: ct_stall_after(spec, limit=5)},
+            ],
+            trials=2,
+        )
+        assert report.holds, report.details
+
+    @pytest.mark.parametrize("check", [check_emulation, check_bisimulation])
+    def test_mediator_game_matched_at_epsilon_zero(self, check):
+        from repro.analysis.deviations import crash, ct_crash
+
+        spec, game, schedulers = self.family()
+        pairs = [(None, None), ({8: ct_crash()}, {8: crash()})]
+        report = check(
+            game, MediatorGame(spec, 1, 1), schedulers, pairs,
+            epsilon=0.0, samples_per_scheduler=6,
+        )
+        assert report.holds, report.details
+
+
+class TestMessageComplexity:
+    """E9: Theorem 4.1's O(nNc) message count is linear in the number of
+    multiplication gates c."""
+
+    @staticmethod
+    def chained_run(n, muls):
+        """Run a coin followed by a chain of ``muls`` multiplications."""
+        circuit = Circuit(F, f"chain({muls})")
+        bit = acc = circuit.randbit()
+        for _ in range(muls):
+            acc = circuit.mul(acc, bit)
+        for pid in range(n):
+            circuit.output(acc, pid, f"act@{pid}")
+        game = CheapTalkGame(consensus_game(n), 1, 1, circuit=circuit)
+        return game.run((0,) * n, FifoScheduler(), seed=0)
+
+    def test_each_multiplication_costs_a_near_constant_count(self):
+        counts = []
+        for muls in (1, 4, 8, 16):
+            run = self.chained_run(9, muls)
+            assert len(set(run.actions)) == 1
+            counts.append((muls, run.message_count()))
+        slopes = [
+            (m2 - m1) / (c2 - c1)
+            for (c1, m1), (c2, m2) in zip(counts, counts[1:])
+        ]
+        assert max(slopes) - min(slopes) <= 0.5 * max(slopes), counts
+
+    @pytest.mark.parametrize("n", [9, 11, 13])
+    def test_chained_circuit_coordinates_as_n_grows(self, n):
+        run = self.chained_run(n, 2)
+        assert len(set(run.actions)) == 1
 
 
 class TestDefaultMoveVsAH:

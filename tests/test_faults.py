@@ -205,13 +205,19 @@ class TestChaosDeterminism:
         }
 
     def test_faulted_grid_repeats_are_byte_identical(self):
-        spec = get_scenario("faultcheck-sec64").replace(seed_count=1)
+        specs = (
+            get_scenario("faultcheck-sec64").replace(seed_count=1),
+            get_scenario("faultcheck-thm41").replace(
+                faults=("drop-0.1+dup-0.05",)
+            ),
+        )
         with ExperimentRunner() as runner:
-            one = runner.run(spec)
-            two = runner.run(spec)
-        assert one.records == two.records
-        doc = ExperimentResult.from_json(one.to_json())
-        assert doc.records == one.records
+            for spec in specs:
+                one = runner.run(spec)
+                two = runner.run(spec)
+                assert one.records == two.records, spec.name
+                doc = ExperimentResult.from_json(one.to_json())
+                assert doc.records == one.records, spec.name
 
 
 # -- fault semantics at the runtime level -------------------------------------
@@ -411,6 +417,10 @@ class TestMaskingOracle:
         line = result.reports[0].describe()
         assert line.startswith("[ok]")
         assert "masked" in line and "budget 2" in line
+
+    def test_registered_verdicts_all_hold(self):
+        for result in run_faultcheck():
+            assert result.ok, [r.describe() for r in result.reports]
 
     def test_run_faultcheck_defaults_to_the_registered_scenarios(self):
         assert sorted(BREAKING_PLANS) == [

@@ -383,6 +383,16 @@ class TestGamesAxis:
         assert [row[0] for row in rows] == ["consensus@n3", "consensus@n5"]
         assert len(rows[0]) == len(ExperimentResult.SUMMARY_HEADERS)
 
+    def test_consensus_scaling_coordinates_at_every_size(self):
+        from repro.experiments import ExperimentRunner, get_scenario
+
+        for n in (3, 5, 7, 9):
+            spec = make_game(f"consensus@n{n}", 0)
+            assert spec.game.n == n and spec.definition is not None
+        result = ExperimentRunner().run(get_scenario("consensus-scaling"))
+        assert all(record.ok for record in result.records)
+        assert [row[-1] for row in result.summary_rows()] == ["1.000"] * 4
+
     def test_consensus_n7_through_runner(self):
         # Acceptance: consensus@n7 runs end-to-end, parallel == serial.
         from repro.experiments import ExperimentRunner

@@ -4,9 +4,12 @@ import random
 
 import pytest
 
+from repro.analysis.deviations import ct_crash, ct_lying_shares
+from repro.cheaptalk import CheapTalkGame, compile_theorem41
 from repro.circuits import Circuit
 from repro.errors import ProtocolError
 from repro.field import GF, SMALL_PRIME, DEFAULT_PRIME, lagrange_interpolate
+from repro.games.library import consensus_game
 from repro.mpc import MpcEngine, TrustedSetup, mpc_sid, x_of
 from repro.mpc.avss import (
     AsyncVerifiableSS,
@@ -390,6 +393,43 @@ class TestEngineFaults:
             run_engine(5, 1, c, {})
 
 
+class NaiveOpeningsGame(CheapTalkGame):
+    """The ablation: every engine trusts the first t+1 opening shares."""
+
+    def player_config(self, setup, pid, own_type):
+        config = super().player_config(setup, pid, own_type)
+        config["naive_openings"] = True
+        return config
+
+
+class TestRobustOpenings:
+    """E14: one liar's wrong shares are decoded away by error-corrected
+    openings, but corrupt naive first-t+1 reconstruction."""
+
+    @staticmethod
+    def corrupted_runs(game_cls):
+        spec = consensus_game(5)
+        liar = 0  # lowest pid: naive reconstruction trusts its share first
+        honest = range(1, 5)
+        corrupted = 0
+        for seed in range(12):
+            run = game_cls(spec, 1, 0).run(
+                (0,) * 5, FifoScheduler(), seed=seed,
+                deviations={liar: ct_lying_shares(spec)},
+            )
+            decoded = {run.actions[p] for p in honest}
+            moved = all(p in run.result.outputs for p in honest)
+            if not moved or len(decoded) != 1 or not decoded <= {0, 1}:
+                corrupted += 1
+        return corrupted
+
+    def test_robust_openings_are_never_corrupted(self):
+        assert self.corrupted_runs(CheapTalkGame) == 0
+
+    def test_naive_openings_are_corrupted(self):
+        assert self.corrupted_runs(NaiveOpeningsGame) > 0
+
+
 class TestAVSS:
     def run_avss(self, n, t, secret=11, scheduler=None, byzantine=None,
                  dealer=0, seed=0):
@@ -413,6 +453,10 @@ class TestAVSS:
         assert set(shares) == set(range(n))
         points = [(x_of(p), F(v)) for p, v in sorted(shares.items())][: t + 1]
         assert lagrange_interpolate(F, points)(0) == F(secret)
+
+    def test_honest_dealer_completes_at_t2(self):
+        hosts, _, sid = self.run_avss(9, 2, secret=17)
+        assert set(results_for(hosts, sid)) == set(range(9))
 
     def test_crashed_dealer_nobody_completes(self):
         hosts, result, sid = self.run_avss(5, 1, byzantine={0: CrashProcess()})
@@ -518,6 +562,66 @@ class TestMalformedMessages:
                                     byzantine={4: self._spammer(n, noise)})
         assert silent[0]["sum"] == 4
         assert noisy == silent
+
+    @pytest.mark.parametrize("x0", [0, 1])
+    def test_peer_cannot_open_a_second_evaluation(self, x0):
+        """Player 1's only output is x0*x1 and it reports x1 = 0. A second
+        evaluation under a fresh sid, opened at its peers by one message
+        each and run with input 1 at player 1, would hand it x0 computed
+        on the same one-time masks and triples."""
+        n, t = 5, 1
+        circuit = Circuit(F, "pair")
+        circuit.output(circuit.mul(circuit.input(0), circuit.input(1)), 1,
+                       "prod")
+        evil = mpc_sid("evil")
+
+        class ForgedInput(MpcEngine):
+            def config(self, key, default=None):
+                if key == "mpc_input":
+                    return 1
+                return super().config(key, default)
+
+        class Attacker(MpcEngine):
+            def start(self):
+                super().start()
+                for pid in self.peers:
+                    if pid != self.me:
+                        self.host.session_send(evil, pid, "open")
+                self.host.open_session(evil, cls=ForgedInput)
+
+        outputs, _, _, engines = run_engine(
+            n, t, circuit, {0: x0, 1: 0}, engine_overrides={1: Attacker}
+        )
+        assert outputs[1] == {"prod": 0}
+        assert engines[1].host.results.get(evil) is None
+        assert not any(
+            evil in engines[p].host.sessions for p in range(n) if p != 1
+        )
+
+    @pytest.mark.parametrize("tags", [1, 5])
+    def test_peer_opened_sids_cost_only_their_own_messages(self, tags):
+        """A Thm 4.1 cell at n=9: a Byzantine p8 that sends each honest
+        host one message per fresh mpc sid adds exactly those messages
+        to the crash-only run."""
+        spec = consensus_game(9)
+        game = compile_theorem41(spec, 1, 1).game
+
+        def spammer(pid, own_type, config):
+            def behaviour(ctx, sender, payload):
+                if sender is None:
+                    for tag in range(tags):
+                        for peer in range(8):
+                            ctx.send(peer, (mpc_sid(("spam", tag)), "open"))
+
+            return ScriptedByzantine(behaviour)
+
+        types = (0,) * 9
+        crashed = game.run(types, FifoScheduler(), seed=1,
+                           deviations={8: ct_crash()})
+        spammed = game.run(types, FifoScheduler(), seed=1,
+                           deviations={8: spammer})
+        assert spammed.actions == crashed.actions
+        assert spammed.message_count() == crashed.message_count() + 8 * tags
 
     def test_malformed_avss_messages_are_ignored(self):
         n, t, secret = 5, 1, 29

@@ -342,13 +342,6 @@ class TestOutOfBand:
             set_enabled(None)
         assert _record_dump(instrumented) == _record_dump(dark)
 
-    def test_obs_overhead_bench_asserts_equality(self):
-        from repro.bench import _bench_obs_overhead
-
-        row = _bench_obs_overhead(quick=True)
-        assert row["name"] == "obs-overhead"
-        assert "overhead_pct" in row and "speedup" in row
-
 
 # -- audit + store instrumentation -------------------------------------------
 

@@ -293,31 +293,6 @@ class TestAuditSharedRunner:
                 run_audit(spec, timeout_s=5.0, runner=shared)
 
 
-class TestBenchSuite:
-    def test_run_suite_and_baseline_soft_warn(self):
-        from repro.bench import bench_names, compare_to_baseline, run_suite
-
-        suite = run_suite(names=["games-construct"], quick=True)
-        assert suite["benches"][0]["name"] == "games-construct"
-        assert suite["benches"][0]["cells_per_s"] > 0
-        assert "games-construct" in bench_names()
-
-        row = dict(suite["benches"][0])
-        fast = {"benches": [{**row, "cells_per_s": row["cells_per_s"] * 10}]}
-        slow = {"benches": [{**row, "cells_per_s": row["cells_per_s"] / 10}]}
-        assert compare_to_baseline(suite, slow) == []  # we are faster: fine
-        warnings = compare_to_baseline(suite, fast)
-        assert len(warnings) == 1 and "below the baseline" in warnings[0]
-        # Unknown benches on either side are skipped, not errors.
-        assert compare_to_baseline(suite, {"benches": [{"name": "x"}]}) == []
-
-    def test_unknown_bench_rejected(self):
-        from repro.bench import run_suite
-
-        with pytest.raises(ExperimentError, match="unknown bench"):
-            run_suite(names=["nope"])
-
-
 class TestProfileCLI:
     def test_run_profile_flag(self, capsys):
         from repro.cli import main
@@ -326,13 +301,3 @@ class TestProfileCLI:
         out = capsys.readouterr().out
         assert "profile — raw-chicken-matrix" in out
         assert "artifact cache:" in out
-
-    def test_bench_cli_json(self, capsys, tmp_path):
-        from repro.cli import main
-
-        out_path = tmp_path / "bench_suite.json"
-        main(["bench", "games-construct", "--json", "--out", str(out_path)])
-        printed = json.loads(capsys.readouterr().out)
-        on_disk = json.loads(out_path.read_text())
-        assert printed["benches"][0]["name"] == "games-construct"
-        assert on_disk["suite"] == "repro-bench"

@@ -123,6 +123,8 @@ class TestRecordDedup:
         grid_two = len(expand_grid(two_seeds))
         assert grown.stats["store"]["hits"] == grid_one
         assert grown.stats["store"]["misses"] == grid_two - grid_one
+        with ExperimentRunner() as runner:
+            assert grown.records == runner.run(two_seeds).records
 
     def test_query_records_filters(self, tmp_path):
         spec = small(OTHER)
@@ -207,6 +209,7 @@ class TestGetOrRun:
         with ResultStore(str(tmp_path / "s.sqlite")) as store:
             cold = store.get_or_run(spec)
             assert not cold.hit
+            assert len(cold.result.records) == len(expand_grid(spec))
             # No runner argument: a hit must not need one, because it
             # does zero simulation work.
             warm = store.get_or_run(spec)

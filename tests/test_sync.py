@@ -135,6 +135,11 @@ class TestR1Compiler:
         with pytest.raises(CompilationError):
             compile_r1(consensus_game(6), 1, 1)
         assert compile_r1(consensus_game(7), 1, 1)
+        # The cost of asynchrony: Thm 4.1 needs n > 4k+4t = 8.
+        from repro.cheaptalk import compile_theorem41
+
+        with pytest.raises(CompilationError):
+            compile_theorem41(consensus_game(7), 1, 1)
 
     def test_consensus_coordinates(self):
         sync = compile_r1(consensus_game(7), 1, 1)
@@ -162,10 +167,15 @@ class TestR1Compiler:
         from repro.sim import FifoScheduler
 
         sync = compile_r1(consensus_game(9), 1, 1)
-        _, sync_result = sync.run((0,) * 9, seed=1)
         async_proto = compile_theorem41(consensus_game(9), 1, 1)
-        async_run = async_proto.game.run((0,) * 9, FifoScheduler(), seed=1)
-        assert sync_result.messages_sent < async_run.message_count()
+        for seed in (1, 2):
+            sync_actions, sync_result = sync.run((0,) * 9, seed=seed)
+            async_run = async_proto.game.run(
+                (0,) * 9, FifoScheduler(), seed=seed
+            )
+            assert len(set(sync_actions)) == 1
+            assert len(set(async_run.actions)) == 1
+            assert sync_result.messages_sent < async_run.message_count()
 
     def test_outcome_distribution_is_fair_coin(self):
         sync = compile_r1(consensus_game(7), 1, 1)

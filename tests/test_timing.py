@@ -246,7 +246,7 @@ class TestBoundedDelay:
 class TestSyncAsyncParity:
     """Satellite: the canonical Thm 4.1 scenario across timing models."""
 
-    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("seed", [0, 1, 3])
     def test_lockstep_matches_async_fifo_output_profile(self, seed):
         from repro.cheaptalk import compile_theorem41
         from repro.games.registry import make_game
@@ -266,12 +266,13 @@ class TestSyncAsyncParity:
 
         proto = compile_theorem41(make_game("consensus", 9), 1, 1)
         types = (0,) * 9
-        async_run = proto.game.run(types, FifoScheduler(), seed=0)
-        for d in (4, 64):
-            bounded = proto.game.run(
-                types, FifoScheduler(), seed=0, timing=BoundedDelay(d)
-            )
-            assert bounded.actions == async_run.actions
+        for seed in (0, 3):
+            async_run = proto.game.run(types, FifoScheduler(), seed=seed)
+            for d in (4, 8, 64):
+                bounded = proto.game.run(
+                    types, FifoScheduler(), seed=seed, timing=BoundedDelay(d)
+                )
+                assert bounded.actions == async_run.actions, (seed, d)
 
 
 class TestScenarioTimings:

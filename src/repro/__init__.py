@@ -89,12 +89,7 @@ __all__ = [
     "StoreOutcome",
     "open_store",
     "resolve_store_path",
-    "JobSpec",
-    "JobStatus",
-    "JobClient",
-    "JobServer",
     "MetricsRegistry",
-    "MetricsServer",
     "Span",
     "Tracer",
 ]
@@ -133,15 +128,8 @@ _STORE_EXPORTS = (
     "open_store",
     "resolve_store_path",
 )
-_SERVICE_EXPORTS = (
-    "JobSpec",
-    "JobStatus",
-    "JobClient",
-    "JobServer",
-)
 _OBS_EXPORTS = (
     "MetricsRegistry",
-    "MetricsServer",
     "Span",
     "Tracer",
 )
@@ -204,10 +192,6 @@ def __getattr__(name):
         from repro import store
 
         return getattr(store, name)
-    if name in _SERVICE_EXPORTS:
-        from repro import service
-
-        return getattr(service, name)
     if name in _OBS_EXPORTS:
         from repro import obs
 

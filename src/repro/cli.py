@@ -30,24 +30,15 @@ Commands:
 * ``check`` — run the exact ideal-mediator robustness checker on a game;
 * ``compile`` — compile a game through one of the four theorems and run it;
 * ``attack`` — mount the Section 6.4 leak attack (leaky vs minimal);
-* ``serve`` — the experiment service daemon: drain the job spool onto one
-  persistent runner, answering repeated submissions from the result store
-  (``--metrics-port`` exposes the live telemetry registry over HTTP);
-* ``jobs`` — the service client: ``submit`` / ``status`` / ``list`` /
-  ``logs`` / ``cancel`` / ``result`` / ``wait`` / ``stats`` against the
-  same spool;
 * ``profile`` — run any other repro command under cProfile and print the
   top functions (``repro profile -- sweep chicken-mediator``);
-* ``metrics`` — scrape a running ``serve --metrics-port`` endpoint and
-  print the Prometheus text (or ``--json`` for the snapshot document);
 * ``store`` — inspect a result store: ``summary`` aggregates, ``query``
   filters stored run records, ``path`` prints the resolved location.
 
 Store path precedence everywhere: ``--store PATH`` beats the
 ``REPRO_STORE`` environment variable, which beats the command's default
-(no store for one-shot commands; ``~/.repro-store/store.sqlite`` for the
-service and for ``store`` inspection). The spool follows the same shape:
-``--spool`` > ``REPRO_SPOOL`` > ``~/.repro-store/spool``.
+(no store for one-shot commands; ``~/.repro-store/store.sqlite`` for
+``store`` inspection).
 """
 
 from __future__ import annotations
@@ -56,7 +47,6 @@ import argparse
 import json
 import os
 import sys
-import time
 from contextlib import contextmanager
 from statistics import mean
 
@@ -844,297 +834,6 @@ def cmd_audit_frontier(args) -> None:
     _audit_and_report(args, results)
 
 
-# -- the experiment service ---------------------------------------------------
-
-def _service_client(args):
-    from repro.service import JobClient, Spool, resolve_spool_path
-
-    return JobClient(Spool(resolve_spool_path(getattr(args, "spool", None))))
-
-
-def _print_job_status(status, as_json: bool) -> None:
-    if as_json:
-        print(status.to_json(indent=2))
-        return
-    progress = f"{status.done}/{status.total}" if status.total else "-"
-    line = (
-        f"{status.id}  {status.kind:8} {status.title:24} "
-        f"{status.state:9} {progress}"
-    )
-    if status.attempts > 1 or status.max_attempts > 1:
-        line += f"  attempt {status.attempts}/{status.max_attempts}"
-    if status.error:
-        line += f"  {status.error}"
-    print(line)
-    if status.state == "running":
-        beat = "-"
-        if status.heartbeat_at is not None:
-            beat = f"{max(time.time() - status.heartbeat_at, 0.0):.1f}s ago"
-        print(f"  phase: {status.phase or '-'}  heartbeat: {beat}")
-    if status.finished and status.stats:
-        print(f"  stats: {json.dumps(status.stats, sort_keys=True)}")
-
-
-def cmd_serve(args) -> None:
-    from repro.errors import ServiceError, StoreError
-    from repro.service import JobServer, Spool, resolve_spool_path
-    from repro.store import ResultStore, default_store_path, resolve_store_path
-
-    try:
-        spool = Spool(resolve_spool_path(args.spool))
-    except OSError as exc:
-        sys.exit(f"cannot open spool: {exc}")
-    store = None
-    if not args.no_store:
-        try:
-            store = ResultStore(
-                resolve_store_path(args.store, default_store_path())
-            )
-        except StoreError as exc:
-            sys.exit(str(exc))
-    print(
-        f"repro serve: spool {spool.root}, "
-        f"store {store.path if store is not None else '(disabled)'}",
-        file=sys.stderr,
-    )
-    metrics_server = None
-    if args.metrics_port is not None:
-        from repro.errors import ObsError
-        from repro.obs import MetricsServer
-
-        metrics_server = MetricsServer(port=args.metrics_port)
-        try:
-            metrics_server.start()
-        except ObsError as exc:
-            sys.exit(str(exc))
-        print(
-            f"repro serve: metrics at {metrics_server.url}",
-            file=sys.stderr,
-        )
-    served = 0
-    try:
-        with JobServer(
-            spool,
-            store=store,
-            parallel=args.parallel,
-            processes=args.processes,
-            timeout_s=args.timeout,
-            poll_s=args.poll,
-            orphan_after_s=args.orphan_after,
-        ) as server:
-            served = server.serve_forever(
-                max_jobs=args.max_jobs, idle_timeout_s=args.idle_timeout
-            )
-    except KeyboardInterrupt:
-        pass
-    except ServiceError as exc:
-        sys.exit(str(exc))
-    finally:
-        if metrics_server is not None:
-            metrics_server.stop()
-        if store is not None:
-            store.close()
-    print(f"repro serve: executed {served} job(s)", file=sys.stderr)
-
-
-def cmd_jobs_submit(args) -> None:
-    from repro.errors import ServiceError
-    from repro.service import JobSpec
-
-    def _load_json_arg(path, what):
-        try:
-            with open(path, encoding="utf-8") as fh:
-                data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            sys.exit(f"cannot read {what} from {path}: {exc}")
-        if not isinstance(data, dict):
-            sys.exit(f"{what} file {path} must hold a JSON object")
-        return data
-
-    spec_dict = (
-        _load_json_arg(args.spec_file, "inline spec")
-        if args.spec_file else None
-    )
-    game_def = (
-        _load_json_arg(args.game_def, "GameDef")
-        if args.game_def else None
-    )
-    ks = tuple(range(1, args.k_max + 1)) if args.k_max is not None else None
-    ts = tuple(range(0, args.t_max + 1)) if args.t_max is not None else None
-    client = _service_client(args)
-    try:
-        job = JobSpec(
-            kind=args.kind,
-            name=args.name,
-            spec=spec_dict,
-            game_def=game_def,
-            ks=ks,
-            ts=ts,
-            priority=args.priority,
-            description=args.description,
-            max_attempts=args.max_attempts,
-        ).validate()
-        status = client.submit(job)
-        if args.wait:
-            status = client.wait(status.id, timeout_s=args.wait_timeout)
-    except ServiceError as exc:
-        sys.exit(str(exc))
-    _print_job_status(status, args.json)
-
-
-def cmd_jobs_status(args) -> None:
-    from repro.errors import ServiceError
-
-    try:
-        status = _service_client(args).status(args.job_id)
-    except ServiceError as exc:
-        sys.exit(str(exc))
-    _print_job_status(status, args.json)
-
-
-def cmd_jobs_list(args) -> None:
-    from repro.errors import ServiceError
-
-    try:
-        statuses = _service_client(args).list_jobs()
-    except ServiceError as exc:
-        sys.exit(str(exc))
-    if args.json:
-        print(json.dumps(
-            [s.to_dict() for s in statuses], indent=2, sort_keys=True
-        ))
-        return
-    rows = [
-        (
-            s.id,
-            s.kind,
-            s.title,
-            s.state,
-            s.priority,
-            f"{s.done}/{s.total}" if s.total else "-",
-            s.error or "",
-        )
-        for s in statuses
-    ]
-    print(format_table(
-        ["job", "kind", "title", "state", "pri", "progress", "error"], rows
-    ))
-
-
-def cmd_jobs_logs(args) -> None:
-    from repro.errors import ServiceError
-
-    try:
-        print(_service_client(args).logs(args.job_id), end="")
-    except ServiceError as exc:
-        sys.exit(str(exc))
-
-
-def cmd_jobs_cancel(args) -> None:
-    from repro.errors import ServiceError
-
-    try:
-        status = _service_client(args).cancel(args.job_id)
-    except ServiceError as exc:
-        sys.exit(str(exc))
-    _print_job_status(status, args.json)
-
-
-def cmd_jobs_wait(args) -> None:
-    from repro.errors import ServiceError
-
-    try:
-        status = _service_client(args).wait(
-            args.job_id, timeout_s=args.wait_timeout
-        )
-    except ServiceError as exc:
-        sys.exit(str(exc))
-    _print_job_status(status, args.json)
-
-
-def cmd_jobs_result(args) -> None:
-    from repro.errors import ServiceError
-
-    client = _service_client(args)
-    try:
-        if args.json:
-            # The stored document, verbatim: byte-identical across
-            # dedup'd submissions of the same spec.
-            print(client.result_text(args.job_id))
-            return
-        status = client.status(args.job_id)
-        result = client.result(args.job_id)
-    except ServiceError as exc:
-        sys.exit(str(exc))
-    if status.kind == "scenario":
-        _print_result(result, per_run=False)
-    else:
-        _print_audit(result, per_candidate=False)
-
-
-def cmd_jobs_stats(args) -> None:
-    """Aggregate the spool: per-state counts, progress, liveness."""
-    from repro.errors import ServiceError
-    from repro.service.jobs import JOB_STATES
-
-    try:
-        statuses = _service_client(args).list_jobs()
-    except ServiceError as exc:
-        sys.exit(str(exc))
-    now = time.time()
-    by_state = {state: 0 for state in JOB_STATES}
-    for status in statuses:
-        by_state[status.state] = by_state.get(status.state, 0) + 1
-    running = [
-        {
-            "id": s.id,
-            "title": s.title,
-            "phase": s.phase,
-            "done": s.done,
-            "total": s.total,
-            "heartbeat_age_s": (
-                round(max(now - s.heartbeat_at, 0.0), 3)
-                if s.heartbeat_at is not None else None
-            ),
-        }
-        for s in statuses if s.state == "running"
-    ]
-    summary = {
-        "jobs": len(statuses),
-        "by_state": by_state,
-        "queue_depth": by_state.get("queued", 0),
-        "cells_done": sum(s.done for s in statuses),
-        "result_hits": sum(
-            1 for s in statuses if s.stats.get("result_hit")
-        ),
-        "retries": sum(max(s.attempts - 1, 0) for s in statuses),
-        "running": running,
-    }
-    if args.json:
-        print(json.dumps(summary, indent=2, sort_keys=True))
-        return
-    states = "  ".join(
-        f"{state}: {by_state[state]}" for state in JOB_STATES
-    )
-    print(f"{summary['jobs']} job(s)  [{states}]")
-    print(
-        f"queue depth {summary['queue_depth']}, "
-        f"{summary['cells_done']} cell(s) done, "
-        f"{summary['result_hits']} full store hit(s), "
-        f"{summary['retries']} retried attempt(s)"
-    )
-    for job in running:
-        age = (
-            f"{job['heartbeat_age_s']:.1f}s ago"
-            if job["heartbeat_age_s"] is not None else "-"
-        )
-        print(
-            f"  running {job['id']} {job['title']}: "
-            f"phase {job['phase'] or '-'}, {job['done']}/{job['total']}, "
-            f"heartbeat {age}"
-        )
-
-
 def cmd_profile(args) -> None:
     """Run another repro command under cProfile and report the hot spots."""
     from repro.errors import ObsError
@@ -1165,21 +864,6 @@ def cmd_profile(args) -> None:
         print(format_profile(summary))
     if summary["exit_code"]:
         raise SystemExit(summary["exit_code"])
-
-
-def cmd_metrics(args) -> None:
-    """Scrape a running ``serve --metrics-port`` endpoint."""
-    from repro.errors import ObsError
-    from repro.obs import scrape
-
-    path = "/metrics.json" if args.json else "/metrics"
-    try:
-        text = scrape(
-            url=args.url, host=args.host, port=args.port, path=path
-        )
-    except ObsError as exc:
-        sys.exit(str(exc))
-    print(text, end="" if text.endswith("\n") else "\n")
 
 
 def cmd_store_path(args) -> None:
@@ -1551,134 +1235,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_attack.add_argument("--runs", type=int, default=40)
     p_attack.set_defaults(func=cmd_attack)
 
-    def spool_option(p):
-        p.add_argument("--spool", default=None, metavar="PATH",
-                       help="job spool directory (precedence: --spool > "
-                            "REPRO_SPOOL > ~/.repro-store/spool)")
-
-    p_serve = sub.add_parser(
-        "serve", help="experiment service daemon over the job spool"
-    )
-    spool_option(p_serve)
-    p_serve.add_argument("--store", default=None, metavar="PATH",
-                         help="result store path (precedence: --store > "
-                              "REPRO_STORE > ~/.repro-store/store.sqlite)")
-    p_serve.add_argument("--no-store", action="store_true",
-                         help="serve without a result store (every job "
-                              "simulates from scratch)")
-    p_serve.add_argument("--parallel", action="store_true",
-                         help="run job grids over the persistent worker pool")
-    p_serve.add_argument("--processes", type=int, default=None)
-    p_serve.add_argument("--timeout", type=float, default=None,
-                         help="per-run timeout in seconds")
-    p_serve.add_argument("--max-jobs", type=int, default=None, metavar="N",
-                         help="exit after executing N jobs (CI smoke)")
-    p_serve.add_argument("--idle-timeout", type=float, default=None,
-                         metavar="S",
-                         help="exit after S seconds with an empty queue")
-    p_serve.add_argument("--poll", type=float, default=0.2, metavar="S",
-                         help="queue poll interval in seconds")
-    p_serve.add_argument("--orphan-after", type=float, default=10.0,
-                         metavar="S",
-                         help="startup scan: requeue claimed jobs whose "
-                              "heartbeat is at least S seconds stale "
-                              "(a dead server's orphans; default 10)")
-    p_serve.add_argument("--metrics-port", type=int, default=None,
-                         metavar="PORT",
-                         help="serve the live telemetry registry over HTTP "
-                              "on 127.0.0.1:PORT (/metrics Prometheus "
-                              "text, /metrics.json snapshot, /healthz; "
-                              "0 picks a free port)")
-    p_serve.set_defaults(func=cmd_serve)
-
-    p_jobs = sub.add_parser(
-        "jobs", help="service client: submit and follow spool jobs"
-    )
-    jobs_sub = p_jobs.add_subparsers(dest="jobs_command", required=True)
-
-    def jobs_common(p):
-        spool_option(p)
-        p.add_argument("--json", action="store_true",
-                       help="emit machine-readable JSON")
-
-    p_jobs_submit = jobs_sub.add_parser(
-        "submit", help="submit a scenario/audit/frontier job"
-    )
-    p_jobs_submit.add_argument("name", nargs="?", default=None,
-                               help="registered scenario or audit name "
-                                    "(omit when using --spec-file)")
-    p_jobs_submit.add_argument("--kind", default="scenario",
-                               choices=("scenario", "audit", "frontier"))
-    p_jobs_submit.add_argument("--spec-file", default=None, metavar="PATH",
-                               help="inline ScenarioSpec/AuditSpec JSON "
-                                    "instead of a registry name")
-    p_jobs_submit.add_argument("--game-def", default=None, metavar="PATH",
-                               help="inline GameDef JSON; the server stamps "
-                                    "it into the spec as a file: game")
-    p_jobs_submit.add_argument("--priority", type=int, default=10,
-                               help="0..99; higher runs sooner (default 10)")
-    p_jobs_submit.add_argument("--description", default="")
-    p_jobs_submit.add_argument("--max-attempts", type=int, default=3,
-                               metavar="N",
-                               help="execution budget: failed or orphaned "
-                                    "attempts are requeued with seeded "
-                                    "backoff until N is spent (default 3)")
-    p_jobs_submit.add_argument("--k-max", type=int, default=None,
-                               help="frontier jobs: sweep k from 1 to K")
-    p_jobs_submit.add_argument("--t-max", type=int, default=None,
-                               help="frontier jobs: sweep t from 0 to T")
-    p_jobs_submit.add_argument("--wait", action="store_true",
-                               help="block until the job finishes")
-    p_jobs_submit.add_argument("--wait-timeout", type=float, default=300.0,
-                               metavar="S",
-                               help="--wait deadline in seconds (default 300)")
-    jobs_common(p_jobs_submit)
-    p_jobs_submit.set_defaults(func=cmd_jobs_submit)
-
-    p_jobs_status = jobs_sub.add_parser("status", help="one job's status")
-    p_jobs_status.add_argument("job_id")
-    jobs_common(p_jobs_status)
-    p_jobs_status.set_defaults(func=cmd_jobs_status)
-
-    p_jobs_list = jobs_sub.add_parser("list", help="every job in the spool")
-    jobs_common(p_jobs_list)
-    p_jobs_list.set_defaults(func=cmd_jobs_list)
-
-    p_jobs_logs = jobs_sub.add_parser("logs", help="one job's log")
-    p_jobs_logs.add_argument("job_id")
-    spool_option(p_jobs_logs)
-    p_jobs_logs.set_defaults(func=cmd_jobs_logs)
-
-    p_jobs_cancel = jobs_sub.add_parser(
-        "cancel", help="cancel a queued or running job"
-    )
-    p_jobs_cancel.add_argument("job_id")
-    jobs_common(p_jobs_cancel)
-    p_jobs_cancel.set_defaults(func=cmd_jobs_cancel)
-
-    p_jobs_wait = jobs_sub.add_parser(
-        "wait", help="block until a job reaches a terminal state"
-    )
-    p_jobs_wait.add_argument("job_id")
-    p_jobs_wait.add_argument("--wait-timeout", type=float, default=300.0,
-                             metavar="S",
-                             help="deadline in seconds (default 300)")
-    jobs_common(p_jobs_wait)
-    p_jobs_wait.set_defaults(func=cmd_jobs_wait)
-
-    p_jobs_result = jobs_sub.add_parser(
-        "result", help="a finished job's result (--json: verbatim document)"
-    )
-    p_jobs_result.add_argument("job_id")
-    jobs_common(p_jobs_result)
-    p_jobs_result.set_defaults(func=cmd_jobs_result)
-
-    p_jobs_stats = jobs_sub.add_parser(
-        "stats", help="aggregate the spool: per-state counts and liveness"
-    )
-    jobs_common(p_jobs_stats)
-    p_jobs_stats.set_defaults(func=cmd_jobs_stats)
-
     p_profile = sub.add_parser(
         "profile", help="run another repro command under cProfile"
     )
@@ -1696,19 +1252,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="the repro command to profile, e.g. "
                                 "`-- sweep chicken-mediator`")
     p_profile.set_defaults(func=cmd_profile)
-
-    p_metrics = sub.add_parser(
-        "metrics", help="scrape a running serve --metrics-port endpoint"
-    )
-    p_metrics.add_argument("--url", default=None,
-                           help="full endpoint URL (overrides host/port)")
-    p_metrics.add_argument("--host", default="127.0.0.1")
-    p_metrics.add_argument("--port", type=int, default=9464,
-                           help="metrics port (default 9464)")
-    p_metrics.add_argument("--json", action="store_true",
-                           help="fetch the /metrics.json snapshot instead "
-                                "of Prometheus text")
-    p_metrics.set_defaults(func=cmd_metrics)
 
     p_store = sub.add_parser(
         "store", help="inspect a result store (summary / query / path)"

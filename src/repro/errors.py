@@ -89,11 +89,6 @@ class StoreError(ReproError):
     """
 
 
-class ServiceError(ReproError):
-    """Invalid job-service operation (unknown job id, malformed JobSpec,
-    result requested before the job finished, spool not initialised)."""
-
-
 class ObsError(ReproError):
     """Invalid telemetry operation (metric kind clash, malformed span JSON,
     unparseable Chrome trace document, profile target failed to start).

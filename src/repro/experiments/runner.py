@@ -16,12 +16,11 @@ parallel and serial sweeps, and warm- and cold-cache sweeps, produce
 identical records.
 
 :class:`ExperimentRunner` owns a *persistent* worker pool: it is created
-lazily on the first parallel ``run()``, reused across ``run()``/``sweep()``
-calls (each worker keeps its own warm artifact cache between grids), and
-torn down by :meth:`ExperimentRunner.close` / the context-manager exit.
-Grids are dispatched with chunked ``imap_unordered`` and re-ordered by task
-index, so records stay byte-identical to serial while results stream back
-to the optional progress callback.
+lazily on the first parallel ``run()``, reused across ``run()`` calls (each
+worker keeps its own warm artifact cache between grids), and torn down by
+:meth:`ExperimentRunner.close` / the context-manager exit. Grids are
+dispatched with chunked ``imap_unordered`` and re-ordered by task index,
+so records stay byte-identical to serial whatever the completion order.
 
 Per-run timeouts use ``SIGALRM`` (available in workers and in the serial
 main thread on POSIX); a run that exceeds the budget yields a
@@ -40,7 +39,7 @@ import time
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from repro.errors import ExperimentError
 from repro.experiments.cache import (
@@ -540,20 +539,19 @@ class ExperimentRunner:
     def run(
         self,
         scenario: Union[str, ScenarioSpec],
-        progress: Optional[Callable[[int, int], None]] = None,
         store=None,
     ) -> ExperimentResult:
-        """Run one scenario grid; ``progress(done, total)`` streams status.
+        """Run one scenario grid.
 
         With a store (the ``store`` argument, falling back to the
         runner's own), each cell is fingerprinted first: cells the store
-        already holds are answered from it — reported to ``progress``
-        immediately, placed at their grid index, never simulated — and
-        only the missing subset is executed. Fresh ``ok`` records are
-        written back as each cell completes (a killed process keeps its
-        finished cells), and ``stats["store"]`` reports the hit/miss
-        split. Hit or miss, the assembled records are identical
-        to a storeless run of the same spec (wall-clock fields aside).
+        already holds are answered from it — placed at their grid index,
+        never simulated — and only the missing subset is executed. Fresh
+        ``ok`` records are written back as each cell completes (a killed
+        process keeps its finished cells), and ``stats["store"]`` reports
+        the hit/miss split. Hit or miss, the assembled records are
+        identical to a storeless run of the same spec (wall-clock fields
+        aside).
 
         Telemetry: each ``run()`` opens a ``scenario`` span on the active
         tracer (if any) and feeds the process-global metrics registry from
@@ -574,7 +572,7 @@ class ExperimentRunner:
                 scenario_span.span_id if scenario_span is not None else None
             )
             result = self._run_grid(
-                spec, tasks, progress, store, trace_root=trace_root
+                spec, tasks, store, trace_root=trace_root
             )
         self._record_metrics(spec, result)
         return result
@@ -583,7 +581,6 @@ class ExperimentRunner:
         self,
         spec: ScenarioSpec,
         tasks: Sequence[RunTask],
-        progress: Optional[Callable[[int, int], None]] = None,
         store=None,
         trace_root: Optional[int] = None,
     ) -> ExperimentResult:
@@ -614,15 +611,13 @@ class ExperimentRunner:
             def on_record(index: int, record: RunRecord) -> None:
                 # Flush each fresh ok record the moment it exists: a
                 # SIGKILL mid-grid then loses only the in-flight cells,
-                # and the requeued job's retry dedups the rest.
+                # and a rerun on the same store dedups the rest.
                 if record.ok:
                     flushed[0] += active_store.put_records(
                         [(fingerprints[index], record)]
                     )
 
         hit_count = len(tasks) - len(run_tasks)
-        if progress is not None and hit_count:
-            progress(hit_count, len(tasks))
         processes = self.processes
         if processes is None:
             processes = os.cpu_count() or 1
@@ -638,8 +633,7 @@ class ExperimentRunner:
         if use_parallel:
             try:
                 records, stats = self._run_parallel(
-                    spec, run_tasks, processes, progress,
-                    records=records, done=hit_count, total=len(tasks),
+                    spec, run_tasks, processes, records=records,
                     trace_root=trace_root, on_record=on_record,
                 )
             except (OSError, PermissionError):
@@ -652,9 +646,7 @@ class ExperimentRunner:
                 pool_reused = False
         if not use_parallel:
             records, stats = self._run_serial(
-                spec, run_tasks, progress,
-                records=records, done=hit_count, total=len(tasks),
-                on_record=on_record,
+                spec, run_tasks, records=records, on_record=on_record,
             )
         elapsed = time.perf_counter() - start
         if active_store is not None:
@@ -715,35 +707,22 @@ class ExperimentRunner:
             "repro_runner_mode_total", "run() calls by execution mode"
         ).inc(mode="parallel" if pool.get("used") else "serial")
 
-    def sweep(
-        self,
-        scenarios: Iterable[Union[str, ScenarioSpec]],
-        progress: Optional[Callable[[int, int], None]] = None,
-    ) -> list[ExperimentResult]:
-        return [self.run(scenario, progress=progress) for scenario in scenarios]
-
     def _run_serial(
         self,
         spec: ScenarioSpec,
         tasks: Sequence[RunTask],
-        progress: Optional[Callable[[int, int], None]] = None,
         records: Optional[list] = None,
-        done: int = 0,
-        total: Optional[int] = None,
         on_record: Optional[Callable[[int, RunRecord], None]] = None,
     ) -> tuple[list[RunRecord], dict]:
         """Execute ``tasks``, placing each record at its grid index.
 
-        ``records``/``done``/``total`` let a store-aware ``run()`` hand in
-        a grid-sized list pre-filled with store hits: the subset executed
-        here still lands at ``task.index``, and progress continues from
-        the hits already reported. ``on_record`` fires once per freshly
-        executed cell (the store's incremental flush hook).
+        ``records`` lets a store-aware ``run()`` hand in a grid-sized list
+        pre-filled with store hits: the subset executed here still lands
+        at ``task.index``. ``on_record`` fires once per freshly executed
+        cell (the store's incremental flush hook).
         """
         if records is None:
             records = [None] * len(tasks)
-        if total is None:
-            total = len(tasks)
         phases = [0.0, 0.0, 0.0]
         before = (self._cache.hits, self._cache.misses)
         for task in tasks:
@@ -754,9 +733,6 @@ class ExperimentRunner:
             records[task.index] = record
             if on_record is not None:
                 on_record(task.index, record)
-            done += 1
-            if progress is not None:
-                progress(done, total)
         stats = {
             "cache": {
                 "hits": self._cache.hits - before[0],
@@ -776,10 +752,7 @@ class ExperimentRunner:
         spec: ScenarioSpec,
         tasks: Sequence[RunTask],
         processes: int,
-        progress: Optional[Callable[[int, int], None]] = None,
         records: Optional[list] = None,
-        done: int = 0,
-        total: Optional[int] = None,
         trace_root: Optional[int] = None,
         on_record: Optional[Callable[[int, RunRecord], None]] = None,
     ) -> tuple[list[RunRecord], dict]:
@@ -795,8 +768,6 @@ class ExperimentRunner:
         chunksize = max(1, min(16, len(tasks) // (processes * 4) or 1))
         if records is None:
             records = [None] * len(tasks)
-        if total is None:
-            total = len(tasks)
         phases = [0.0, 0.0, 0.0]
         hits = misses = 0
         span_buffers: dict[int, tuple] = {}
@@ -813,9 +784,6 @@ class ExperimentRunner:
             misses += cell_stats[4]
             if cell_spans:
                 span_buffers[index] = cell_spans
-            done += 1
-            if progress is not None:
-                progress(done, total)
         if trace:
             # Merge in task-index order, not completion order: span ids
             # are remapped on merge, so the assembled trace structure is

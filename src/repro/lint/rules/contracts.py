@@ -313,19 +313,18 @@ class MutableDefaultRule(Rule):
 
 @register_rule
 class SwallowedExceptionRule(Rule):
-    """No silently discarded exceptions in the substrate/service packages."""
+    """No silently discarded exceptions in the substrate/store packages."""
 
     name = "swallowed-exception"
     description = (
         "a bare `except:` or an `except Exception:` whose body does "
         "nothing silently discards failures — in the simulation kernel, "
-        "the net substrate, the service, and the store that turns a "
-        "crash the fault-injection layer should surface (or the orphan "
-        "scanner should requeue) into a wrong answer; catch the narrow "
-        "exception you can actually handle, or suppress with a "
-        "justification for the rare deliberate sink"
+        "the net substrate and the store that turns a crash the "
+        "fault-injection layer should surface into a wrong answer; catch "
+        "the narrow exception you can actually handle, or suppress with "
+        "a justification for the rare deliberate sink"
     )
-    packages = ("sim", "net", "service", "store")
+    packages = ("sim", "net", "store")
 
     _BROAD = ("Exception", "BaseException")
 

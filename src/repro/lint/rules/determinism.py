@@ -136,23 +136,23 @@ _ENTROPY_REASONS = frozenset({
     "OS entropy", "OS-entropy id", "host/clock-dependent id",
 })
 
-#: Packages the rule scans where *clock* reads are legitimate (job
-#: timestamps, daemon polling, store mtimes, telemetry spans/latencies,
-#: event-loop deadlines and latency injection in the net substrate) but
-#: OS entropy stays banned (job ids, fingerprints, span ids and latency
-#: draws must not depend on it — net latency comes from seeded per-edge
-#: RngTree streams).
-CLOCK_EXEMPT_PACKAGES = ("service", "store", "obs", "net")
+#: Packages the rule scans where *clock* reads are legitimate (store
+#: row timestamps and latencies, telemetry spans/latencies, event-loop
+#: deadlines and latency injection in the net substrate) but OS entropy
+#: stays banned (fingerprints, span ids and latency draws must not
+#: depend on it — net latency comes from seeded per-edge RngTree
+#: streams).
+CLOCK_EXEMPT_PACKAGES = ("store", "obs", "net")
 
 
 @register_rule
 class WallClockRule(Rule):
     """No clock or OS-entropy reads in simulation-path packages.
 
-    The service/store/obs/net layers are scanned too, under a scoped
-    exemption: their clock reads are allowed (that is what a job queue, a
-    span tracer, or an event-loop transport does), but OS-entropy reads
-    are findings everywhere the rule looks.
+    The store/obs/net layers are scanned too, under a scoped
+    exemption: their clock reads are allowed (that is what a store's
+    timestamps, a span tracer, or an event-loop transport needs), but
+    OS-entropy reads are findings everywhere the rule looks.
     """
 
     name = "wallclock"
@@ -161,8 +161,8 @@ class WallClockRule(Rule):
         "the simulation path make runs depend on when/where they execute; "
         "timing belongs to the TimingModel, randomness to seeded streams "
         "(elapsed-time profiling lives in the experiment layer, which this "
-        "rule does not cover; repro.service/repro.store/repro.obs/"
-        "repro.net may read clocks but not OS entropy)"
+        "rule does not cover; repro.store/repro.obs/repro.net may "
+        "read clocks but not OS entropy)"
     )
     packages = SIM_PACKAGES + CLOCK_EXEMPT_PACKAGES
 

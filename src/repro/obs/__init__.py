@@ -1,9 +1,9 @@
 """Unified telemetry layer: metrics, span tracing, profiling hooks.
 
 ``repro.obs`` is the observability subsystem shared by every layer of the
-repro stack — the experiment runner, the audit engine, the result store
-and the job service all report into one process-global
-:class:`MetricsRegistry` and (when a tracer is active) one span stream.
+repro stack — the experiment runner, the audit engine and the result
+store all report into one process-global :class:`MetricsRegistry` and
+(when a tracer is active) one span stream.
 
 The layer is *strictly out-of-band* (CONTRIBUTING invariant 8): nothing
 observable may alter a ``RunRecord``, a stored document, or the
@@ -16,16 +16,14 @@ scoped clock exemption — OS entropy stays banned here like everywhere.
 Three pillars:
 
 * :mod:`repro.obs.metrics` — counters/gauges/histograms with labels,
-  deterministic JSON snapshots, Prometheus text rendering, mark/delta.
+  deterministic JSON snapshots, mark/delta.
 * :mod:`repro.obs.tracing` — nested spans, lossless JSON round-trip,
   Chrome trace-event export, cross-pool span buffering/merge.
 * :mod:`repro.obs.profiling` — cProfile top-N JSON for ``repro profile``.
-* :mod:`repro.obs.httpd` — the stdlib ``/metrics`` endpoint behind
-  ``repro serve --metrics-port`` and the ``repro metrics`` scraper.
 
 Exports resolve lazily (module ``__getattr__``, mirroring the top-level
 ``repro`` package) so pool workers importing the runner do not pay for
-``http.server`` / ``cProfile`` imports they never use.
+``cProfile`` imports they never use.
 """
 
 from __future__ import annotations
@@ -54,13 +52,10 @@ _TRACING_EXPORTS = (
 
 _PROFILING_EXPORTS = ("format_profile", "profile_call", "profile_cli")
 
-_HTTPD_EXPORTS = ("DEFAULT_PORT", "MetricsServer", "scrape")
-
 _EXPORT_MODULES = {
     **{name: "repro.obs.metrics" for name in _METRICS_EXPORTS},
     **{name: "repro.obs.tracing" for name in _TRACING_EXPORTS},
     **{name: "repro.obs.profiling" for name in _PROFILING_EXPORTS},
-    **{name: "repro.obs.httpd" for name in _HTTPD_EXPORTS},
 }
 
 __all__ = sorted(_EXPORT_MODULES)

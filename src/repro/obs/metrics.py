@@ -4,8 +4,7 @@ This is the first pillar of the ``repro.obs`` telemetry layer. A
 :class:`MetricsRegistry` holds named instruments, each of which may carry
 label sets (``counter.inc(1, scenario="thm41-honest")``); one process-wide
 default registry (:func:`registry`) is shared by the runner, the audit
-engine, the result store and the job service so a single scrape sees the
-whole picture.
+engine and the result store.
 
 Design constraints, in priority order:
 
@@ -14,9 +13,9 @@ Design constraints, in priority order:
   telemetry back into control flow. Disabling telemetry entirely
   (``REPRO_OBS=off`` or :func:`set_enabled`) turns every mutation into a
   no-op and must leave every ``RunRecord`` byte-identical.
-* **Deterministic rendering.** :meth:`MetricsRegistry.snapshot` and
-  :meth:`MetricsRegistry.render_prometheus` sort metrics by name and
-  samples by label so two snapshots of equal state are equal strings.
+* **Deterministic rendering.** :meth:`MetricsRegistry.snapshot` sorts
+  metrics by name and samples by label so two snapshots of equal state
+  are equal strings.
 * **Dependency-free and cheap.** Pure stdlib; one lock per registry;
   an instrument mutation is a dict update.
 
@@ -63,11 +62,9 @@ def _label_key(labels: dict) -> LabelKey:
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
 
 
-def _format_labels(key: LabelKey, extra: str = "") -> str:
-    """Prometheus label block: ``{a="x",b="y"}`` (empty string if none)."""
+def _format_labels(key: LabelKey) -> str:
+    """Series label block: ``{a="x",b="y"}`` (empty string if none)."""
     parts = [f'{name}="{_escape(value)}"' for name, value in key]
-    if extra:
-        parts.append(extra)
     return "{" + ",".join(parts) + "}" if parts else ""
 
 
@@ -76,7 +73,7 @@ def _escape(value: str) -> str:
 
 
 def _format_value(value: float) -> str:
-    """Render integers without a trailing ``.0`` (Prometheus-friendly)."""
+    """Render integers without a trailing ``.0``."""
     if value == int(value) and abs(value) < 1e15:
         return str(int(value))
     return repr(value)
@@ -282,7 +279,7 @@ class MetricsRegistry:
             return sorted(self._instruments)
 
     def reset(self) -> None:
-        """Drop every instrument (tests and ``repro serve`` restarts)."""
+        """Drop every instrument (tests start from an empty registry)."""
         with self._lock:
             self._instruments.clear()
 
@@ -304,35 +301,6 @@ class MetricsRegistry:
 
     def snapshot_json(self, indent: Optional[int] = None) -> str:
         return json.dumps(self.snapshot(), indent=indent, sort_keys=True)
-
-    def render_prometheus(self) -> str:
-        """Prometheus text exposition format (version 0.0.4)."""
-        lines: list[str] = []
-        for name, described in self.snapshot()["metrics"].items():
-            if described["help"]:
-                lines.append(f"# HELP {name} {described['help']}")
-            lines.append(f"# TYPE {name} {described['type']}")
-            for sample in described["samples"]:
-                key = _label_key(sample["labels"])
-                if described["type"] == "histogram":
-                    for bound, count in sample["buckets"].items():
-                        block = _format_labels(key, f'le="{bound}"')
-                        lines.append(
-                            f"{name}_bucket{block} {_format_value(count)}"
-                        )
-                    block = _format_labels(key)
-                    lines.append(
-                        f"{name}_sum{block} {_format_value(sample['sum'])}"
-                    )
-                    lines.append(
-                        f"{name}_count{block} {_format_value(sample['count'])}"
-                    )
-                else:
-                    block = _format_labels(key)
-                    lines.append(
-                        f"{name}{block} {_format_value(sample['value'])}"
-                    )
-        return "\n".join(lines) + "\n"
 
     # -- deltas -----------------------------------------------------------
 

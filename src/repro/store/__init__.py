@@ -6,7 +6,6 @@ See :mod:`repro.store.core` for the store itself and
 
 from repro.store.core import (
     DEFAULT_STORE_DIR,
-    ENV_SPOOL,
     ENV_STORE,
     ResultStore,
     StoreOutcome,
@@ -23,7 +22,6 @@ from repro.store.fingerprint import (
 
 __all__ = [
     "DEFAULT_STORE_DIR",
-    "ENV_SPOOL",
     "ENV_STORE",
     "ResultStore",
     "StoreOutcome",

@@ -13,7 +13,7 @@
   :func:`~repro.store.fingerprint.spec_fingerprint` /
   :func:`~repro.store.fingerprint.audit_fingerprint`. A repeat
   :meth:`get_or_run` of an identical spec returns the stored text
-  byte-for-byte — the dedup guarantee the job service builds on.
+  byte-for-byte — the dedup guarantee ``repro run --store`` builds on.
 
 Immutability is the core invariant: every write is ``INSERT OR IGNORE``,
 so a fingerprint's row can never be overwritten — concurrent writers
@@ -48,11 +48,8 @@ SCHEMA_VERSION = 1
 ENV_STORE = "REPRO_STORE"
 """Environment variable naming the store database path."""
 
-ENV_SPOOL = "REPRO_SPOOL"
-"""Environment variable naming the service spool directory."""
-
 DEFAULT_STORE_DIR = "~/.repro-store"
-"""Default home of the service's store database and job spool."""
+"""Default home of the store database for ``repro store`` inspection."""
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS meta (
@@ -86,7 +83,7 @@ CREATE INDEX IF NOT EXISTS results_name ON results (kind, name);
 
 
 def default_store_path() -> str:
-    """Where the service keeps its database unless told otherwise."""
+    """The database ``repro store`` inspects unless told otherwise."""
     return os.path.join(os.path.expanduser(DEFAULT_STORE_DIR), "store.sqlite")
 
 
@@ -96,8 +93,8 @@ def resolve_store_path(
     """Store path precedence: ``--store PATH`` > ``REPRO_STORE`` > default.
 
     ``default`` is ``None`` for one-shot CLI commands (no store unless
-    asked) and :func:`default_store_path` for the service (always
-    durable). Returns ``None`` when no store should be used.
+    asked) and :func:`default_store_path` for ``repro store`` inspection.
+    Returns ``None`` when no store should be used.
     """
     if explicit:
         return explicit
@@ -135,10 +132,9 @@ class ResultStore:
     """A WAL-mode SQLite store of runs and result documents.
 
     Use as a context manager (or call :meth:`close`); the connection is
-    owned by the opening process and must not cross a fork. Counters
+    owned by the opening thread and must not cross a fork. Counters
     (``hits``/``misses`` for runs, ``result_hits``/``result_misses`` for
-    documents) accumulate over the store's lifetime — the job service
-    reports them per job as its dedup proof.
+    documents) accumulate over the store's lifetime.
     """
 
     def __init__(self, path: Union[str, "os.PathLike[str]"]) -> None:
@@ -147,12 +143,7 @@ class ResultStore:
             parent = os.path.dirname(os.path.abspath(self.path))
             os.makedirs(parent, exist_ok=True)
         try:
-            # check_same_thread off: a JobServer may drain the spool from
-            # a worker thread while the store was opened on the main one;
-            # access stays serialized (one coordinating caller at a time).
-            self._conn = sqlite3.connect(
-                self.path, timeout=30.0, check_same_thread=False
-            )
+            self._conn = sqlite3.connect(self.path, timeout=30.0)
         except sqlite3.Error as exc:
             raise StoreError(f"cannot open store at {self.path}: {exc}") from exc
         self._conn.execute("PRAGMA journal_mode=WAL")
@@ -375,7 +366,6 @@ class ResultStore:
         self,
         scenario,
         runner=None,
-        progress=None,
         parallel: bool = False,
         processes: Optional[int] = None,
         timeout_s: Optional[float] = None,
@@ -405,9 +395,6 @@ class ResultStore:
                 "repro_store_result_hits_total",
                 "scenarios answered verbatim from the store",
             ).inc(scenario=spec.name)
-            if progress is not None:
-                total = max(spec.grid_size(), 1)
-                progress(total, total)
             return StoreOutcome(
                 result=ExperimentResult.from_json(stored),
                 text=stored,
@@ -420,14 +407,14 @@ class ResultStore:
             "scenarios that had to be simulated",
         ).inc(scenario=spec.name)
         if runner is not None:
-            result = runner.run(spec, progress=progress, store=self)
+            result = runner.run(spec, store=self)
         else:
             from repro.experiments.runner import ExperimentRunner
 
             with ExperimentRunner(
                 parallel=parallel, processes=processes, timeout_s=timeout_s
             ) as owned:
-                result = owned.run(spec, progress=progress, store=self)
+                result = owned.run(spec, store=self)
         text = result.to_json(indent=2)
         self.put_result(
             fingerprint, "scenario", spec.name, text, len(result.records)
@@ -445,7 +432,7 @@ class ResultStore:
     # -- aggregate views -----------------------------------------------------
 
     def counters(self) -> dict:
-        """Lifetime dedup counters (the job service's per-job stats source)."""
+        """Lifetime dedup counters, as a dict."""
         return {
             "hits": self.hits,
             "misses": self.misses,

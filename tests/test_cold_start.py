@@ -1,7 +1,7 @@
 """Imports follow use (CONTRIBUTING invariant 12).
 
-Every ``repro`` command, sweep, audit, service job and benchmark worker is
-a short process, so what it imports is part of its cost. numpy and SciPy
+Every ``repro`` command, sweep, audit and benchmark worker is a short
+process, so what it imports is part of its cost. numpy and SciPy
 serve only the exact solution-concept checkers, and asyncio only the TCP
 runtime. This test runs the hot paths in a fresh interpreter and asserts
 none of the three was loaded, then calls an exact checker to show the

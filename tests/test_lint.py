@@ -285,7 +285,7 @@ ENTROPY_SOURCE = "import os\n\ndef token():\n    return os.urandom(8)\n"
 
 
 class TestWallClockScopedExemption:
-    """repro.service/store/obs/net may read clocks; entropy stays banned.
+    """repro.store/obs/net may read clocks; entropy stays banned.
 
     The same source is linted from two package locations — only the
     module path decides, so the rule's scope list is what's under test.
@@ -303,12 +303,12 @@ class TestWallClockScopedExemption:
         assert len(report.active) == 1
         assert "simulation path" in report.active[0].message
 
-    @pytest.mark.parametrize("package", ["service", "store", "obs", "net"])
+    @pytest.mark.parametrize("package", ["store", "obs", "net"])
     def test_service_layer_clock_reads_are_exempt(self, tmp_path, package):
         report = self._lint_as(tmp_path, package, CLOCKY_SOURCE)
         assert report.active == []
 
-    @pytest.mark.parametrize("package", ["service", "store", "obs", "net"])
+    @pytest.mark.parametrize("package", ["store", "obs", "net"])
     def test_service_layer_entropy_still_flags(self, tmp_path, package):
         report = self._lint_as(tmp_path, package, ENTROPY_SOURCE)
         assert len(report.active) == 1

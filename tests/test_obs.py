@@ -99,17 +99,6 @@ class TestMetrics:
         assert labels == [{"scenario": "a"}, {"scenario": "z"}]
         assert reg.snapshot_json() == first
 
-    def test_prometheus_rendering(self):
-        reg = MetricsRegistry()
-        reg.counter("runs_total", "total runs").inc(3, scenario="x")
-        reg.gauge("depth").set(2)
-        text = reg.render_prometheus()
-        assert "# HELP runs_total total runs" in text
-        assert "# TYPE runs_total counter" in text
-        assert 'runs_total{scenario="x"} 3' in text
-        assert "depth 2" in text
-        assert text.endswith("\n")
-
     def test_mark_delta_reports_changes_only(self):
         reg = MetricsRegistry()
         reg.counter("a_total").inc(5)
@@ -379,109 +368,6 @@ class TestAuditStoreInstrumentation:
         assert delta["repro_store_fetch_seconds_count"] >= 1
 
 
-# -- service heartbeat + metrics ----------------------------------------------
-
-class TestServiceHeartbeat:
-    def test_job_status_heartbeat_round_trip(self):
-        from repro.service import JobStatus
-
-        status = JobStatus(
-            id="j1", state="running", kind="scenario", title="t",
-            priority=10, submitted_at=1.0, heartbeat_at=2.5,
-            phase="running",
-        )
-        again = JobStatus.from_json(status.to_json())
-        assert again == status
-        assert again.heartbeat_at == 2.5
-        assert again.phase == "running"
-
-    def test_older_status_documents_still_parse(self):
-        from repro.service import JobStatus
-
-        data = JobStatus(
-            id="j1", state="queued", kind="scenario", title="t",
-            priority=10, submitted_at=1.0,
-        ).to_dict()
-        del data["heartbeat_at"]
-        del data["phase"]
-        status = JobStatus.from_dict(data)
-        assert status.heartbeat_at is None
-        assert status.phase == ""
-
-    def test_status_stream_stamps_heartbeat_and_phase(self, tmp_path):
-        from repro.service import JobClient, JobSpec, Spool
-        from repro.service.server import _StatusStream
-
-        spool = Spool(str(tmp_path / "spool"))
-        client = JobClient(spool)
-        status = client.submit(JobSpec(kind="scenario", name="x"))
-        stream = _StatusStream(spool, status, interval_s=0.05)
-        stream.write(state="running")
-        first = spool.read_status(status.id)
-        assert first.heartbeat_at is not None
-        stream.set_phase("running")
-        assert spool.read_status(status.id).phase == "running"
-        stream.start()
-        try:
-            import time as _time
-
-            deadline = _time.monotonic() + 5.0
-            while _time.monotonic() < deadline:
-                if spool.read_status(status.id).heartbeat_at > first.heartbeat_at:
-                    break
-                _time.sleep(0.02)
-            else:
-                pytest.fail("heartbeat thread never re-stamped heartbeat_at")
-        finally:
-            stream.close()
-
-    def test_served_job_ends_with_fresh_heartbeat_and_metrics(self, tmp_path):
-        from repro.service import JobClient, JobServer, JobSpec, Spool
-
-        mark = registry().mark()
-        spool = Spool(str(tmp_path / "spool"))
-        client = JobClient(spool)
-        client.submit(JobSpec(kind="scenario", name="chicken-mediator"))
-        with JobServer(spool, store=None) as server:
-            job_id = server.run_once()
-        status = spool.read_status(job_id)
-        assert status.state == "done"
-        assert status.phase == ""  # phases are a running-state concept
-        assert status.heartbeat_at is not None
-        assert status.heartbeat_at >= status.started_at
-        delta = registry().delta_since(mark)
-        assert delta[
-            'repro_service_jobs_total{kind="scenario",state="done"}'
-        ] == 1
-        assert delta["repro_service_claim_seconds_count"] == 1
-
-
-# -- the /metrics endpoint ----------------------------------------------------
-
-class TestMetricsEndpoint:
-    def test_serve_scrape_stop(self):
-        from repro.obs import MetricsServer, scrape
-
-        registry().counter("scrape_test_total", "visible").inc(7)
-        with MetricsServer(port=0) as server:
-            text = scrape(host=server.host, port=server.port)
-            assert "scrape_test_total 7" in text
-            doc = json.loads(
-                scrape(host=server.host, port=server.port,
-                       path="/metrics.json")
-            )
-            assert doc["metrics"]["scrape_test_total"]["samples"][0][
-                "value"
-            ] == 7
-            assert "ok" in scrape(
-                host=server.host, port=server.port, path="/healthz"
-            )
-            with pytest.raises(ObsError):
-                scrape(host=server.host, port=server.port, path="/nope")
-        with pytest.raises(ObsError):
-            scrape(host=server.host, port=server.port)
-
-
 # -- profiling ----------------------------------------------------------------
 
 class TestProfiling:
@@ -523,29 +409,6 @@ class TestCli:
         }
         assert {"scenario", "cell"} <= names
         assert current_tracer() is None  # the CLI deactivated its tracer
-
-    def test_metrics_command_scrapes_a_live_server(self, capsys):
-        from repro.cli import main
-        from repro.obs import MetricsServer
-
-        registry().counter("cli_scrape_total").inc(3)
-        with MetricsServer(port=0) as server:
-            main(["metrics", "--port", str(server.port)])
-        out = capsys.readouterr().out
-        assert "cli_scrape_total 3" in out
-
-    def test_jobs_stats_aggregates_the_spool(self, tmp_path, capsys):
-        from repro.cli import main
-        from repro.service import JobClient, JobSpec, Spool
-
-        spool_dir = str(tmp_path / "spool")
-        client = JobClient(Spool(spool_dir))
-        client.submit(JobSpec(kind="scenario", name="chicken-mediator"))
-        main(["jobs", "stats", "--spool", spool_dir, "--json"])
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["jobs"] == 1
-        assert doc["by_state"]["queued"] == 1
-        assert doc["queue_depth"] == 1
 
     def test_profile_command_runs_a_child_command(self, tmp_path, capsys):
         from repro.cli import main

@@ -207,27 +207,6 @@ class TestPersistentPool:
         runner.close()
         assert first.records == second.records
 
-    def test_progress_callback_streams(self):
-        spec = get_scenario("chicken-mediator").replace(seed_count=2)
-        seen: list[tuple[int, int]] = []
-        result = ExperimentRunner().run(
-            spec, progress=lambda done, total: seen.append((done, total))
-        )
-        total = len(result.records)
-        assert len(seen) == total
-        assert seen[-1] == (total, total)
-        assert [done for done, _ in seen] == sorted(done for done, _ in seen)
-
-    def test_progress_callback_parallel(self):
-        spec = get_scenario("chicken-mediator").replace(seed_count=2)
-        seen: list[tuple[int, int]] = []
-        with ExperimentRunner(parallel=True, processes=2) as runner:
-            result = runner.run(
-                spec, progress=lambda done, total: seen.append((done, total))
-            )
-        total = len(result.records)
-        assert len(seen) == total and seen[-1] == (total, total)
-
 
 class TestStats:
     def test_serial_stats_shape(self):

@@ -1,16 +1,21 @@
 """Tests for the durable result store (``repro.store``).
 
-The invariants under test are the ones the job service and CLI dedup
-build on: identical cells are answered from the store and never
-re-simulated; stored documents come back byte-identical; rows are
-immutable once written (first writer wins); and two processes writing
-disjoint cells into one WAL database produce one consistent merged view.
+The invariants under test are the ones the runner, ``run_audit`` and
+the CLI's ``--store`` dedup build on: identical cells are answered from
+the store and never re-simulated; stored documents come back
+byte-identical; rows are immutable once written (first writer wins); a
+process killed mid-grid keeps every cell it finished; and two processes
+writing disjoint cells into one WAL database produce one consistent
+merged view.
 """
 
+import json
 import os
+import signal
 import subprocess
 import sys
 import pathlib
+import time
 
 import pytest
 
@@ -221,20 +226,47 @@ class TestGetOrRun:
         # The stored document round-trips losslessly.
         assert warm.result.to_json(indent=2) == warm.text
 
-    def test_hit_reports_full_progress(self, tmp_path):
-        spec = small(CHEAP)
-        seen = []
-        with ResultStore(str(tmp_path / "s.sqlite")) as store:
-            store.get_or_run(spec)
-            store.get_or_run(spec, progress=lambda d, t: seen.append((d, t)))
-        total = len(expand_grid(spec))
-        assert seen == [(total, total)]
-
     def test_accepts_registry_names(self, tmp_path):
         with ResultStore(str(tmp_path / "s.sqlite")) as store:
             outcome = store.get_or_run(CHEAP)
             assert outcome.result.spec.name == CHEAP
             assert store.get_or_run(CHEAP).hit
+
+    def test_cli_run_with_store_is_byte_stable(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = str(tmp_path / "s.sqlite")
+        outputs = []
+        for _ in range(2):
+            main(["run", OTHER, "--json", "--store", path])
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        main(["store", "summary", "--json", "--store", path])
+        summary = json.loads(capsys.readouterr().out)
+        assert (summary["results"], summary["runs"]) == (1, 12)
+
+
+# -- audit documents ----------------------------------------------------------
+
+class TestAuditDedup:
+    def test_audit_hit_is_the_stored_document(self, tmp_path):
+        from repro.audit.frontier import run_audit, run_frontier
+        from repro.audit.registry import AuditSpec
+
+        spec = AuditSpec(
+            name="tiny-audit", scenario=OTHER, budget=2, seed_count=1, top=1
+        )
+        with ResultStore(str(tmp_path / "s.sqlite")) as store:
+            first = run_audit(spec, store=store)
+            assert store.counters()["result_hits"] == 0
+            again = run_audit(spec, store=store)
+            assert again == first
+            assert store.counters()["result_hits"] == 1
+            stored = store.fetch_result(audit_fingerprint(spec, kind="audit"))
+            assert stored == first.to_json(indent=2)
+            # A frontier over the same spec is a separate document.
+            run_frontier(spec, store=store)
+            assert store.summary()["by_kind"] == {"audit": 1, "frontier": 1}
 
 
 # -- concurrent writers -------------------------------------------------------
@@ -289,3 +321,65 @@ class TestConcurrentWriters:
             for name in (CHEAP, OTHER):
                 outcome = store.get_or_run(small(name))
                 assert outcome.hit
+
+
+# -- a writer killed mid-grid -------------------------------------------------
+
+_GRID_WRITER = """
+import sys
+from repro.experiments import ExperimentRunner, ScenarioSpec
+from repro.store import ResultStore
+
+path, spec = sys.argv[1], ScenarioSpec.from_json(sys.argv[2])
+with ResultStore(path) as store:
+    ExperimentRunner(store=store).run(spec)
+"""
+
+
+class TestKilledWriter:
+    def test_sigkilled_grid_keeps_its_finished_cells(self, tmp_path):
+        """Each fresh record is flushed as its cell completes, so a
+        process SIGKILLed mid-grid loses only in-flight cells and a rerun
+        simulates exactly the rest."""
+        # Forty cheap-talk cells: long enough to be killed part-way.
+        spec = get_scenario("thm41-honest").replace(
+            schedulers=("fifo",), seed_count=40
+        )
+        total = len(expand_grid(spec))
+        path = str(tmp_path / "killed.sqlite")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(SRC)
+        with ResultStore(path) as store:
+            child = subprocess.Popen(
+                [sys.executable, "-c", _GRID_WRITER, path, spec.to_json()],
+                env=env,
+                stdout=subprocess.DEVNULL,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+            try:
+                deadline = time.monotonic() + 60.0
+                while store.summary()["runs"] < 2:
+                    assert child.poll() is None, child.stderr.read()
+                    assert time.monotonic() < deadline, "child never wrote"
+                    time.sleep(0.02)
+                assert child.poll() is None, "grid finished before the kill"
+                child.send_signal(signal.SIGKILL)
+                child.wait(timeout=10.0)
+            finally:
+                if child.poll() is None:
+                    child.kill()
+                    child.wait(timeout=10.0)
+                child.stderr.close()
+            assert child.returncode == -signal.SIGKILL
+            kept = store.summary()["runs"]
+            assert 2 <= kept < total
+            with ExperimentRunner(store=store) as runner:
+                rerun = runner.run(spec)
+        assert rerun.stats["store"] == {
+            "hits": kept,
+            "misses": total - kept,
+            "stored": total - kept,
+        }
+        with ExperimentRunner() as runner:
+            assert rerun.records == runner.run(spec).records

@@ -69,12 +69,14 @@ class RunRecord:
         return mean(self.payoffs) if self.payoffs else 0.0
 
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        # Shallow: every nested value is a tuple of JSON-safe scalars, so
+        # this serializes exactly as ``dataclasses.asdict`` (which deep-
+        # copies each leaf) would, at a fraction of the cost.
+        return {name: getattr(self, name) for name in _RECORD_FIELDS}
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunRecord":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
+        unknown = set(data).difference(_RECORD_FIELDS)
         if unknown:
             raise ExperimentError(
                 f"unknown RunRecord fields: {', '.join(sorted(unknown))}"
@@ -86,6 +88,9 @@ class RunRecord:
             for key, value in data.items()
         }
         return cls(**coerced)
+
+
+_RECORD_FIELDS = tuple(f.name for f in dataclasses.fields(RunRecord))
 
 
 def _stats(values: Iterable[float]) -> dict:

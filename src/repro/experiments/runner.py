@@ -30,7 +30,6 @@ is likewise captured into the record's ``error`` field.
 
 from __future__ import annotations
 
-import dataclasses
 import multiprocessing
 import os
 import signal
@@ -201,11 +200,14 @@ def _serialize_trace(trace) -> tuple:
 def _execute(
     spec: ScenarioSpec,
     task: RunTask,
+    start: float,
     cache: Optional[ArtifactCache] = None,
     phases: Optional[list] = None,
 ) -> RunRecord:
     """One grid cell: cached prepare phase, then the per-seed run phase.
 
+    ``start`` is the cell's ``perf_counter`` start; the record's
+    ``duration_s`` is measured from it when the record is built.
     ``phases`` (a 3-slot ``[prepare, run, payoff]`` accumulator in seconds)
     is filled in when provided — the ``--profile`` timing breakdown.
     """
@@ -244,6 +246,7 @@ def _execute(
             actions=tuple(actions),
             payoffs=payoffs,
             agreed=len(set(actions)) == 1,
+            duration_s=time.perf_counter() - start,
             **base,
         )
 
@@ -267,6 +270,7 @@ def _execute(
             messages_sent=result.messages_sent,
             messages_delivered=result.messages_sent,
             steps=result.rounds,
+            duration_s=time.perf_counter() - start,
             **base,
         )
 
@@ -322,6 +326,7 @@ def _execute(
         trace=(
             _serialize_trace(result.trace) if spec.record_payloads else ()
         ),
+        duration_s=time.perf_counter() - start,
         **base,
     )
     t3 = time.perf_counter()
@@ -353,40 +358,39 @@ def execute_task(
             seed=task.seed,
             runtime=task.runtime,
         ), _time_limit(limit):
-            record = _execute(spec, task, cache=cache, phases=phases)
+            return _execute(spec, task, start, cache=cache, phases=phases)
     except _RunTimeout:
-        record = RunRecord(
-            scenario=spec.name,
-            theorem=spec.theorem,
-            game=task.game or spec.game,
-            timing=task.timing,
-            scheduler=task.scheduler,
-            deviation=task.deviation,
-            seed=task.seed,
-            runtime=task.runtime,
-            latency=task.latency,
-            faults=task.faults,
-            error=f"timed out after {limit}s",
-            timed_out=True,
+        return _error_record(
+            spec, task, start, f"timed out after {limit}s", timed_out=True
         )
     except ExperimentError:
         raise  # spec-level problems should fail the sweep loudly
     except Exception as exc:  # noqa: BLE001 — capture per-run failures
-        record = RunRecord(
-            scenario=spec.name,
-            theorem=spec.theorem,
-            game=task.game or spec.game,
-            timing=task.timing,
-            scheduler=task.scheduler,
-            deviation=task.deviation,
-            seed=task.seed,
-            runtime=task.runtime,
-            latency=task.latency,
-            faults=task.faults,
-            error=f"{type(exc).__name__}: {exc}",
-        )
-    duration = time.perf_counter() - start
-    return dataclasses.replace(record, duration_s=duration)
+        return _error_record(spec, task, start, f"{type(exc).__name__}: {exc}")
+
+
+def _error_record(
+    spec: ScenarioSpec,
+    task: RunTask,
+    start: float,
+    error: str,
+    timed_out: bool = False,
+) -> RunRecord:
+    return RunRecord(
+        scenario=spec.name,
+        theorem=spec.theorem,
+        game=task.game or spec.game,
+        timing=task.timing,
+        scheduler=task.scheduler,
+        deviation=task.deviation,
+        seed=task.seed,
+        runtime=task.runtime,
+        latency=task.latency,
+        faults=task.faults,
+        error=error,
+        timed_out=timed_out,
+        duration_s=time.perf_counter() - start,
+    )
 
 
 # -- worker-side state -------------------------------------------------------

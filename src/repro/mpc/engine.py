@@ -31,6 +31,7 @@ dataflow follows BCG/BKR:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Any, Callable, Optional
 
 from repro.broadcast.base import Session, register_session
@@ -164,13 +165,23 @@ class MpcEngine(Session):
             raise ProtocolError("host config lacks 'setup' pack")
         self._check_bounds()
 
+        self.circuit.validate()
         self.input_players = self.circuit.input_players()
         self.deltas: dict[int, GFElement] = {}
         self.agreed_inputs: Optional[tuple[int, ...]] = None
         self.wires: list[Optional[WireShare]] = [None] * self.circuit.size
         self.openings: dict[Any, _Opening] = {}
         self._mul_index: dict[int, int] = {}
-        self._assign_triples()
+        self._dependents: list[list[int]] = [[] for _ in self.circuit.gates]
+        self._input_wires: list[int] = []
+        self._index_gates()
+        self._ready: list[int] = list(range(self.circuit.size))
+        """Min-heap of unresolved wires whose inputs changed since they
+        were last tried. Every wire starts queued; a wire is requeued when
+        an argument resolves, when one of its own multiplication openings
+        gets a value, or (input wires) when a delta or the ACS subset
+        arrives. Wires pop in ascending order, as in a sweep over the
+        whole circuit, so openings are announced in the same order."""
         self.my_outputs = {
             out.label: None for out in self.circuit.outputs if out.player == self.me
         }
@@ -200,17 +211,21 @@ class MpcEngine(Session):
                 f"{self.mode} engine needs n > 3t (n={n}, t={t})"
             )
 
-    def _assign_triples(self) -> None:
+    def _index_gates(self) -> None:
+        """A triple per multiplication, and the edges the worklist follows."""
         k = 0
         for wire, gate in enumerate(self.circuit.gates):
             if gate.op == "mul":
                 self._mul_index[wire] = k
                 k += 1
+            elif gate.op == "input":
+                self._input_wires.append(wire)
+            for arg in gate.args:
+                self._dependents[arg].append(wire)
 
     # -- session lifecycle ----------------------------------------------------------
 
     def start(self) -> None:
-        self.circuit.validate()
         acs = self.host.open_session(("acs", (self.sid, "inputs")))
         self.host.await_session(("acs", (self.sid, "inputs")), self._on_acs)
         for p in self.peers:
@@ -233,13 +248,19 @@ class MpcEngine(Session):
     def _on_delta(self, sid: tuple, value: Any) -> None:
         dealer = sid[1]
         self.deltas[dealer] = self.field(int(value))
+        self._requeue_inputs()
         acs = self.host.open_session(("acs", (self.sid, "inputs")))
         acs.provide_input(dealer)
         self._pump()
 
     def _on_acs(self, sid: tuple, subset: tuple) -> None:
         self.agreed_inputs = subset
+        self._requeue_inputs()
         self._pump()
+
+    def _requeue_inputs(self) -> None:
+        for wire in self._input_wires:
+            heappush(self._ready, wire)
 
     # -- wire evaluation ---------------------------------------------------------------
 
@@ -394,34 +415,36 @@ class MpcEngine(Session):
             opening.value = robust_reconstruct(
                 self.field, shares, self.t, len(self.peers), self.t
             )
+        if opening.value is not None and key[0] == "mul":
+            heappush(self._ready, key[1])  # the product may now resolve
 
     # -- the pump -------------------------------------------------------------------------
 
     def _pump(self) -> None:
-        progressed = True
-        while progressed:
-            progressed = False
-            for wire in range(self.circuit.size):
-                if self.wires[wire] is not None:
-                    continue
-                resolved = self._resolve_gate(wire)
-                if resolved is not None:
-                    self.wires[wire] = resolved
-                    progressed = True
-            for out in self.circuit.outputs:
-                share = self.wires[out.wire]
-                if share is None or out.label in self._output_requested:
-                    continue
-                self._output_requested.add(out.label)
-                self._ensure_open(("out", out.label), share, private_to=out.player)
-                progressed = True
-            for out in self.circuit.outputs:
-                if out.player != self.me or self.my_outputs[out.label] is not None:
-                    continue
-                opening = self.openings.get(("out", out.label))
-                if opening is not None and opening.value is not None:
-                    self.my_outputs[out.label] = int(opening.value)
-                    progressed = True
+        # One pass: a wire's arguments precede it (Circuit.validate), so
+        # each resolves before its dependents pop.
+        ready, wires = self._ready, self.wires
+        while ready:
+            wire = heappop(ready)
+            if wires[wire] is not None:
+                continue
+            resolved = self._resolve_gate(wire)
+            if resolved is not None:
+                wires[wire] = resolved
+                for dependent in self._dependents[wire]:
+                    heappush(ready, dependent)
+        for out in self.circuit.outputs:
+            share = wires[out.wire]
+            if share is None or out.label in self._output_requested:
+                continue
+            self._output_requested.add(out.label)
+            self._ensure_open(("out", out.label), share, private_to=out.player)
+        for out in self.circuit.outputs:
+            if out.player != self.me or self.my_outputs[out.label] is not None:
+                continue
+            opening = self.openings.get(("out", out.label))
+            if opening is not None and opening.value is not None:
+                self.my_outputs[out.label] = int(opening.value)
         if (
             not self.finished
             and self.agreed_inputs is not None

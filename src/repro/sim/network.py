@@ -75,9 +75,10 @@ class TransitView:
     Behaves as a ``Sequence[MessageView]`` (``len``/iteration/indexing) so
     legacy scheduler code keeps working, and exposes indexed queries —
     :meth:`has_uid`, :meth:`min_uid`, :meth:`nth_uid`, :meth:`oldest_to`,
-    :meth:`oldest_from`, :meth:`oldest_in_batch` — that answer in O(1) from
-    the network's sorted uid list and buckets. Schedulers should prefer the
-    indexed queries; payloads are never reachable through this object.
+    :meth:`oldest_from`, :meth:`oldest_in_batch`, :meth:`self_senders` —
+    that answer in O(1) from the network's sorted uid list and buckets.
+    Schedulers should prefer the indexed queries; payloads are never
+    reachable through this object.
     """
 
     __slots__ = ("_net",)
@@ -155,15 +156,15 @@ class TransitView:
         bucket = self._net._by_sender.get(sender)
         return (m.view() for m in bucket.values()) if bucket else iter(())
 
-    def has_self_message(self, sender: int) -> bool:
-        """Is a ``sender → sender`` message in transit? O(1) (indexed).
+    def self_senders(self):
+        """Pids with a ``pid → pid`` message in transit (read-only view).
 
         Self-messages are the covert-channel signal relaxed colluding
-        environments watch for (Section 6.1), and the pool counts them on
-        send/remove so the watch is O(coalition) per step instead of a
-        scan over the sender's whole out-bucket.
+        environments watch for (Section 6.1). The pool counts them on
+        send/remove, so the set is almost always empty and a watch over
+        a coalition is one ``isdisjoint`` per step.
         """
-        return self._net._self_counts.get(sender, 0) > 0
+        return self._net._self_counts.keys()
 
 
 TransitPool = Union[TransitView, "Iterable[MessageView]"]

@@ -17,14 +17,23 @@ from repro.errors import SimulationError
 class Context:
     """Capability object passed to process callbacks for one activation."""
 
-    __slots__ = ("_runtime", "pid", "step", "_batch", "rng")
+    __slots__ = ("_runtime", "pid", "step", "_batch")
 
     def __init__(self, runtime, pid: int, step: int, batch: int) -> None:
         self._runtime = runtime
         self.pid = pid
         self.step = step
         self._batch = batch
-        self.rng = runtime.rng_for(pid)
+
+    @property
+    def rng(self):
+        """This pid's random stream, seeded on its first read.
+
+        Most processes never draw, so no stream is built for them; the
+        streams are independent, so when one is first read changes none
+        of its draws.
+        """
+        return self._runtime.rng_for(self.pid)
 
     # -- actions -----------------------------------------------------------
 

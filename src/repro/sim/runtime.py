@@ -146,9 +146,9 @@ class Runtime:
         """The per-pid activation context, refreshed for this activation.
 
         Contexts are capability objects whose only activation-varying state
-        is ``(step, batch)``; reusing one per pid avoids an allocation and
-        an rng lookup per delivery. Processes that stash their context see
-        the same object every activation.
+        is ``(step, batch)``; reusing one per pid avoids an allocation per
+        delivery. Processes that stash their context see the same object
+        every activation.
         """
         ctx = self._contexts.get(pid)
         if ctx is None:

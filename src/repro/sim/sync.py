@@ -44,14 +44,17 @@ class SyncContext:
     broadcast channel.
     """
 
-    __slots__ = ("_ctx", "_pids", "pid", "round", "rng")
+    __slots__ = ("_ctx", "_pids", "pid", "round")
 
     def __init__(self, ctx: Context, pids: list[int], round_no: int) -> None:
         self._ctx = ctx
         self._pids = pids
         self.pid = ctx.pid
         self.round = round_no
-        self.rng = ctx.rng
+
+    @property
+    def rng(self):
+        return self._ctx.rng
 
     def send(self, recipient: int, payload: Any) -> None:
         self._ctx.send(recipient, payload)

@@ -193,6 +193,28 @@ class TestSection64Attack:
         assert sched.choose(signal, 1) is None
         assert sched.choose(normal, 2) is None  # stays tripped
 
+    def test_colluding_scheduler_trips_at_the_same_step_on_both_views(self):
+        """The pool's self-sender index trips the scheduler at the step a
+        scan over plain MessageViews does, and not on a non-member's
+        self-message or a member's message to someone else."""
+        from repro.sim.network import Network
+
+        indexed, scanned = ColludingScheduler((0, 1)), ColludingScheduler((0, 1))
+        indexed.reset(0)
+        scanned.reset(0)
+        net = Network()
+        sends = [[(2, 3)], [(2, 2)], [(0, 1)], [(3, 3), (1, 1)], [(2, 3)]]
+        picks = []
+        for step, batch in enumerate(sends):
+            for sender, recipient in batch:
+                net.send(sender, recipient, "x", step, step)
+            pick = indexed.choose(net.view(), step)
+            assert scanned.choose(list(net.view()), step) == pick
+            picks.append(pick)
+            if pick is not None:
+                net.deliver(pick, step)
+        assert picks == [0, 1, 2, None, None]
+
     def test_registered_attack_and_defense_outcomes(self):
         runner = ExperimentRunner()
 

@@ -1,5 +1,6 @@
 """Tests for the declarative experiment API (repro.experiments)."""
 
+import dataclasses
 import json
 
 import pytest
@@ -20,6 +21,7 @@ from repro.experiments import (
     scheduler_from_name,
 )
 from repro.games.registry import GAME_REGISTRY, make_game, register_game
+from repro.store.fingerprint import canonical_json
 
 
 class TestGameRegistry:
@@ -181,6 +183,35 @@ class TestRunnerSerial:
         assert restored.records == result.records
         # the JSON itself is plain data
         json.loads(result.to_json())
+
+    def test_record_to_dict_serializes_like_asdict(self):
+        """The shallow ``to_dict`` writes the same JSON, keys in the same
+        order, as ``dataclasses.asdict`` for an ok record with a payload
+        trace, an error record and a faulted record."""
+        traced = run_scenario(
+            get_scenario("chicken-mediator").replace(
+                seed_count=1, record_payloads=True
+            )
+        ).records[0]
+        error = run_scenario(
+            get_scenario("thm41-honest").replace(
+                n=7, schedulers=("fifo",), seed_count=1
+            )
+        ).records[0]
+        faulted = run_scenario(
+            get_scenario("faultcheck-sec64").replace(
+                seed_count=1, record_payloads=True
+            )
+        ).records
+        records = [traced, error, *faulted]
+        assert traced.ok and traced.trace and error.error is not None
+        assert {r.faults for r in faulted} > {"none"}
+        for record in records:
+            reference = dataclasses.asdict(record)
+            assert list(record.to_dict()) == list(reference)
+            assert canonical_json(record.to_dict()) == canonical_json(
+                reference
+            )
 
     def test_raw_game_matrix(self):
         result = run_scenario("raw-chicken-matrix")

@@ -38,6 +38,12 @@ def _golden_specs() -> dict:
         "thm41-honest-n13-random": honest.replace(
             games=("consensus@n13",), schedulers=("random",), seed_count=2
         ),
+        # A 224-gate circuit: pins the order in which the MPC engine
+        # resolves gates and announces multiplication openings.
+        "thm41-honest-volunteer-n9-payloads": honest.replace(
+            games=("volunteer@n9",), schedulers=("fifo", "random"),
+            seed_start=1, seed_count=1, record_payloads=True,
+        ),
         "thm41-crash-liar": get_scenario("thm41-crash-liar"),
         "thm42-epsilon-lying-last": get_scenario("thm42-epsilon").replace(
             deviations=("lying-last",)

@@ -272,9 +272,9 @@ class TestIndexedPoolInvariants:
             assert view.oldest_to(pid) == min(to_pid, default=None)
             assert view.oldest_from(pid) == min(from_pid, default=None)
             assert view.oldest_in_batch(pid) == min(in_batch, default=None)
-            assert view.has_self_message(pid) == any(
-                m.sender == m.recipient == pid for m in msgs
-            )
+        assert set(view.self_senders()) == {
+            m.sender for m in msgs if m.sender == m.recipient
+        }
 
     @given(_OPS)
     @settings(max_examples=150, deadline=None)

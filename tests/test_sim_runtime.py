@@ -19,6 +19,7 @@ from repro.sim import (
     message_pattern,
     scheduler_zoo,
 )
+from repro.utils.rng import RngTree
 
 
 class Pinger(Process):
@@ -193,6 +194,41 @@ class TestProcessSemantics:
         Runtime({0: Roller(), 1: Roller()}, FifoScheduler(), seed=4).run()
         assert values == first
         assert first[0] != first[1]  # streams differ across pids
+
+        class LateRoller(Process):
+            """First reads its stream on its second activation."""
+
+            def on_start(self, ctx):
+                ctx.send(ctx.pid, "later")
+
+            def on_message(self, ctx, sender, payload):
+                values[ctx.pid] = [ctx.rng.randrange(10**9) for _ in range(3)]
+                ctx.halt()
+
+        values.clear()
+        Runtime({0: Roller(), 1: LateRoller()}, FifoScheduler(), seed=4).run()
+        stream = RngTree(4).child("proc", 1).rng
+        assert values[1] == [stream.randrange(10**9) for _ in range(3)]
+        assert values[0] == first[0]
+
+    def test_stream_is_seeded_on_first_draw_only(self):
+        class Relay(Process):
+            def __init__(self, draws):
+                self.draws = draws
+
+            def on_start(self, ctx):
+                ctx.send(1 - ctx.pid, "hi")
+
+            def on_message(self, ctx, sender, payload):
+                ctx.output(ctx.rng.random() if self.draws else payload)
+                ctx.halt()
+
+        quiet = Runtime({0: Relay(False), 1: Relay(False)}, FifoScheduler())
+        quiet.run()
+        assert quiet._rngs == {}
+        one = Runtime({0: Relay(False), 1: Relay(True)}, FifoScheduler())
+        one.run()
+        assert set(one._rngs) == {1}
 
 
 class TestTermination:

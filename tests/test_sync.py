@@ -75,6 +75,30 @@ class TestSyncRuntime:
         }
         assert values == expected
 
+    def test_rng_first_read_in_a_later_round(self):
+        """A stream first read in round 2 draws what it would have drawn
+        in round 0."""
+        from repro.utils.rng import RngTree
+
+        values = {}
+
+        class LateRoller(SyncProcess):
+            def on_round(self, ctx, inbox):
+                if ctx.pid == 0 or ctx.round == 2:
+                    values[ctx.pid] = [
+                        ctx.rng.randrange(10**9) for _ in range(3)
+                    ]
+                    ctx.halt()
+                else:
+                    ctx.send(ctx.pid, "wait")
+
+        SyncRuntime({0: LateRoller(), 1: LateRoller()}, seed=3).run()
+        streams = {pid: RngTree(3).child("sync", pid).rng for pid in (0, 1)}
+        assert values == {
+            pid: [stream.randrange(10**9) for _ in range(3)]
+            for pid, stream in streams.items()
+        }
+
     def test_rng_deterministic(self):
         values = {}
 

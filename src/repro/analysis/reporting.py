@@ -50,17 +50,6 @@ def format_solution_report(report) -> str:
     return "\n".join(lines)
 
 
-def format_run(run, utility=None) -> str:
-    """One-line summary of a MediatorRun-like object."""
-    payoff = ""
-    if utility is not None:
-        payoff = f" payoffs={utility(run.types, run.actions)}"
-    return (
-        f"types={run.types} actions={run.actions} "
-        f"messages={run.message_count()}{payoff}"
-    )
-
-
 def format_outcome_samples(samples: dict, max_rows: int = 8) -> str:
     """Render {types: [action profiles]} as frequency tables."""
     blocks = []

@@ -1,10 +1,13 @@
 """Arithmetic-circuit mediators for the game library.
 
 Each library game gets a hand-built circuit whose cleartext semantics agree
-with the spec's ``mediator_fn``/``mediator_dist`` (tests enforce agreement).
-Inputs are encoded types (``spec.encode_type``), outputs encoded actions
-(``spec.decode_action``), one private output wire per player labelled
-``act@<pid>``.
+with the spec's ``mediator_fn``/``mediator_dist``. The builder is picked by
+game-name prefix, so :func:`mediator_circuit_for` checks every circuit it
+builds against the spec's own ``mediator_dist`` before handing it out: a
+``file:`` game whose name borrows a library prefix must not run that
+library game's mediator. Inputs are encoded types (``spec.encode_type``),
+outputs encoded actions (``spec.decode_action``), one private output wire
+per player labelled ``act@<pid>``.
 """
 
 from __future__ import annotations
@@ -40,19 +43,6 @@ def _majority_circuit(spec: GameSpec, field: GF) -> Circuit:
     maj = circuit.majority(bits)
     for pid in range(n):
         circuit.output(maj, pid, output_label(pid))
-    return circuit
-
-
-def _chicken_circuit(spec: GameSpec, field: GF) -> Circuit:
-    """Uniform choice among (C,C), (C,D), (D,C); encoded C=1, D=0."""
-    circuit = Circuit(field, "chicken-mediator")
-    cell = circuit.randint(3)
-    domain = [0, 1, 2]
-    # cell 0 -> (C,C), 1 -> (C,D), 2 -> (D,C)
-    out0 = circuit.lookup(cell, {0: 1, 1: 1, 2: 0}, domain)
-    out1 = circuit.lookup(cell, {0: 1, 1: 0, 2: 1}, domain)
-    circuit.output(out0, 0, output_label(0))
-    circuit.output(out1, 1, output_label(1))
     return circuit
 
 
@@ -121,7 +111,7 @@ def _uniform_choice_circuit(spec: GameSpec, field: GF) -> Circuit:
     """Generic builder: mediator_dist is uniform over its cells.
 
     One randint gate selects the cell; each player's output is a lookup
-    from the cell index to its encoded action. Covers volunteer,
+    from the cell index to its encoded action. Covers chicken, volunteer,
     public-goods, minority, battle-of-sexes and any other uniform
     correlated device with an exact ``mediator_dist``.
     """
@@ -151,7 +141,7 @@ _BUILDERS: dict[str, Callable[[GameSpec, GF], Circuit]] = {
     "consensus": _coin_circuit,
     "section64": _coin_circuit,
     "byz-agreement": _majority_circuit,
-    "chicken": _chicken_circuit,
+    "chicken": _uniform_choice_circuit,
     "free-rider": _free_rider_circuit,
     "shamir-secret": _shamir_circuit,
     "volunteer": _uniform_choice_circuit,
@@ -161,11 +151,64 @@ _BUILDERS: dict[str, Callable[[GameSpec, GF], Circuit]] = {
 }
 
 
+def _output_distribution(
+    spec: GameSpec, circuit: Circuit, types: tuple
+) -> dict[tuple, float]:
+    """The circuit's exact distribution over decoded action profiles.
+
+    Every ``randbit``/``randint`` gate is uniform and independent, so
+    pinning each combination of their values (``randomness``) and
+    evaluating in the clear enumerates the distribution exactly.
+    """
+    draws = [
+        (idx, 2 if gate.op == "randbit" else gate.param)
+        for idx, gate in enumerate(circuit.gates)
+        if gate.op in ("randbit", "randint")
+    ]
+    weight = 1.0
+    for _, size in draws:
+        weight /= size
+    inputs = {
+        pid: spec.encode_type(types[pid]) for pid in circuit.input_players()
+    }
+    dist: dict[tuple, float] = {}
+    for values in itertools.product(*(range(size) for _, size in draws)):
+        randomness = {
+            idx: circuit.field(value)
+            for (idx, _), value in zip(draws, values)
+        }
+        out = circuit.evaluate(inputs, None, randomness=randomness)
+        actions = tuple(
+            spec.decode_action(int(out[output_label(pid)]))
+            for pid in range(spec.game.n)
+        )
+        dist[actions] = dist.get(actions, 0.0) + weight
+    return dist
+
+
 def mediator_circuit_for(spec: GameSpec, field: GF) -> Circuit:
-    """Build the arithmetic-circuit mediator for a library game."""
+    """Build the arithmetic-circuit mediator for a library game.
+
+    Raises :class:`MediatorError` when no builder matches the name, or
+    when the built circuit's output distribution at the first type
+    profile differs from ``spec.mediator_dist`` there.
+    """
     for prefix, builder in _BUILDERS.items():
         if spec.name.startswith(prefix) or spec.name == prefix:
             circuit = builder(spec, field)
             circuit.validate()
+            types = spec.game.type_space.profiles()[0]
+            built = _output_distribution(spec, circuit, types)
+            declared = spec.mediator_dist(types)
+            if any(
+                abs(built.get(cell, 0.0) - declared.get(cell, 0.0)) > 1e-9
+                for cell in set(built) | set(declared)
+            ):
+                raise MediatorError(
+                    f"the {prefix!r} circuit does not implement the "
+                    f"mediator of spec {spec.name!r}: its output "
+                    f"distribution at types {types} differs from the "
+                    f"spec's mediator_dist"
+                )
             return circuit
     raise MediatorError(f"no circuit builder for spec {spec.name!r}")

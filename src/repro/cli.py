@@ -14,8 +14,6 @@ Commands:
   audits, ``audit run`` searches one (k,t) cell for profitable deviations,
   ``audit frontier`` sweeps the (k,t,ε) frontier (both take ``--json`` /
   ``--csv``);
-* ``demo`` — run the quickstart pipeline (mediator vs cheap talk) on a
-  chosen library game;
 * ``games`` — the game library: ``games list`` shows registered games and
   parameterized families (``--json`` mirrors ``scenarios --json`` with
   player counts, type-space sizes, and punishment availability);
@@ -28,10 +26,6 @@ Commands:
   findings to lines changed since a git ref, ``--json`` / ``--out``
   emit the machine-readable report (exit 1 on any active finding);
 * ``check`` — run the exact ideal-mediator robustness checker on a game;
-* ``compile`` — compile a game through one of the four theorems and run it;
-* ``attack`` — mount the Section 6.4 leak attack (leaky vs minimal);
-* ``profile`` — run any other repro command under cProfile and print the
-  top functions (``repro profile -- sweep chicken-mediator``);
 * ``store`` — inspect a result store: ``summary`` aggregates, ``query``
   filters stored run records, ``path`` prints the resolved location.
 
@@ -48,17 +42,13 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from statistics import mean
 
-from repro.analysis.reporting import format_run, format_solution_report, format_table
+from repro.analysis.reporting import format_solution_report, format_table
 from repro.errors import ExperimentError, GameError
-from repro.games.library import BOT, section64_game
 from repro.games.registry import GAME_REGISTRY, iter_games, make_game
 
 # Back-compat alias: the game registry used to live here as a private dict.
 GAMES = GAME_REGISTRY
-
-THEOREMS = {"4.1", "4.2", "4.4", "4.5", "r1"}
 
 
 def _spec(args):
@@ -310,26 +300,34 @@ def _print_result(result, per_run: bool) -> None:
     )
 
 
-def _print_profile(result) -> None:
-    """The ``--profile`` breakdown: prepare vs run vs payoff, cache, pool."""
-    stats = result.stats
-    if not stats:
-        print("(no runner stats recorded)")
+def _print_profile(result, store_hit: bool, spans) -> None:
+    """The ``--profile`` breakdown: prepare vs run vs payoff, cache, pool.
+
+    The phase times are summed from ``spans``, the spans recorded while
+    this scenario ran (worker spans merged in). A whole-result store hit
+    simulated nothing, so it reports only that.
+    """
+    print(f"\nprofile — {result.spec.name}:")
+    if store_hit:
+        print("whole result answered from the store; nothing simulated")
         return
-    phases = stats.get("phases", {})
+    stats = result.stats
     cache = stats.get("cache", {})
     pool = stats.get("pool", {})
-    accounted = sum(phases.values())
+    seconds = {"prepare": 0.0, "run": 0.0, "payoff": 0.0}
+    for record in spans:
+        if record.name in seconds:
+            seconds[record.name] += record.dur_us / 1e6
+    accounted = sum(seconds.values())
     rows = [
-        (phase, f"{seconds:.3f}s",
-         f"{seconds / accounted * 100:.0f}%" if accounted else "-")
-        for phase, seconds in (
-            ("prepare (game+compile+deviations)", phases.get("prepare_s", 0.0)),
-            ("run (simulation)", phases.get("run_s", 0.0)),
-            ("payoff", phases.get("payoff_s", 0.0)),
+        (phase, f"{seconds[name]:.3f}s",
+         f"{seconds[name] / accounted * 100:.0f}%" if accounted else "-")
+        for name, phase in (
+            ("prepare", "prepare (game+compile+deviations)"),
+            ("run", "run (simulation)"),
+            ("payoff", "payoff"),
         )
     ]
-    print(f"\nprofile — {result.spec.name}:")
     print(format_table(["phase", "time", "share"], rows))
     hits, misses = cache.get("hits", 0), cache.get("misses", 0)
     rate = f"{hits / (hits + misses) * 100:.0f}%" if hits + misses else "-"
@@ -360,14 +358,15 @@ def _open_store(args, default=None):
 
 @contextmanager
 def _trace_scope(args):
-    """Activate a tracer for the command when ``--trace-out`` was given.
+    """Activate one tracer when ``--trace-out`` or ``--profile`` was given.
 
-    On exit the collected spans — including the ones merged back from
-    pool workers — are written as a Chrome trace-event file, loadable in
+    ``--profile`` sums the tracer's spans. On exit, with ``--trace-out``,
+    the collected spans — including the ones merged back from pool
+    workers — are written as a Chrome trace-event file, loadable in
     ``chrome://tracing`` / Perfetto.
     """
     path = getattr(args, "trace_out", None)
-    if not path:
+    if not path and not getattr(args, "profile", False):
         yield None
         return
     from repro.obs import Tracer, activate, deactivate
@@ -378,12 +377,13 @@ def _trace_scope(args):
         yield tracer
     finally:
         deactivate()
-        events = tracer.write_chrome_trace(path)
-        print(
-            f"wrote {events} span(s) to {path} "
-            "(open in chrome://tracing or ui.perfetto.dev)",
-            file=sys.stderr,
-        )
+        if path:
+            events = tracer.write_chrome_trace(path)
+            print(
+                f"wrote {events} span(s) to {path} "
+                "(open in chrome://tracing or ui.perfetto.dev)",
+                file=sys.stderr,
+            )
 
 
 def _run_and_report(args, per_run: bool) -> None:
@@ -391,28 +391,32 @@ def _run_and_report(args, per_run: bool) -> None:
 
     specs = _resolve_scenarios(args)
     store = _open_store(args)
+    runs = []  # (result, whole-result store hit, spans while it ran)
     try:
-        with _trace_scope(args), ExperimentRunner(
+        with _trace_scope(args) as tracer, ExperimentRunner(
             parallel=args.parallel,
             processes=args.processes,
             timeout_s=args.timeout,
             store=store,
         ) as runner:
-            if store is not None:
-                # Result-level dedup: a spec already answered by this
-                # store comes back as the stored document (byte-stable
-                # across invocations), not a fresh simulation.
-                results = [
-                    store.get_or_run(spec, runner=runner).result
-                    for spec in specs
-                ]
-            else:
-                results = [runner.run(spec) for spec in specs]
+            for spec in specs:
+                mark = len(tracer) if tracer is not None else 0
+                if store is not None:
+                    # Result-level dedup: a spec already answered by this
+                    # store comes back as the stored document (byte-stable
+                    # across invocations), not a fresh simulation.
+                    outcome = store.get_or_run(spec, runner=runner)
+                    result, hit = outcome.result, outcome.hit
+                else:
+                    result, hit = runner.run(spec), False
+                spans = tracer.spans()[mark:] if tracer is not None else []
+                runs.append((result, hit, spans))
     except ExperimentError as exc:
         sys.exit(str(exc))
     finally:
         if store is not None:
             store.close()
+    results = [result for result, _, _ in runs]
     if getattr(args, "csv", None):
         _write_csv(args.csv, results)
         total = sum(len(r.records) for r in results)
@@ -420,10 +424,10 @@ def _run_and_report(args, per_run: bool) -> None:
     if args.json:
         _print_json(results)
         return
-    for result in results:
+    for result, hit, spans in runs:
         _print_result(result, per_run=per_run)
-        if getattr(args, "profile", False):
-            _print_profile(result)
+        if args.profile:
+            _print_profile(result, hit, spans)
 
 
 def cmd_run(args) -> None:
@@ -434,91 +438,12 @@ def cmd_sweep(args) -> None:
     _run_and_report(args, per_run=False)
 
 
-def cmd_demo(args) -> None:
-    from repro.cheaptalk import compile_theorem41
-    from repro.mediator import MediatorGame
-    from repro.sim import scheduler_zoo
-
-    spec = _spec(args)
-    types = spec.game.type_space.profiles()[0]
-    mediator = MediatorGame(spec, args.k, args.t)
-    run = mediator.run(types, scheduler_zoo(seed=1)[0], seed=args.seed)
-    print("mediator game: ", format_run(run, spec.game.utility))
-    protocol = compile_theorem41(spec, args.k, args.t)
-    print("compiled:      ", protocol.describe())
-    for scheduler in scheduler_zoo(seed=2, parties=range(spec.game.n))[:3]:
-        run = protocol.game.run(types, scheduler, seed=args.seed)
-        print(f"cheap talk [{scheduler.name}]:", format_run(run, spec.game.utility))
-
-
 def cmd_check(args) -> None:
     from repro.mediator import check_ideal_mediator_robustness
 
     spec = _spec(args)
     report = check_ideal_mediator_robustness(spec, args.k, args.t)
     print(format_solution_report(report))
-
-
-def cmd_compile(args) -> None:
-    from repro.cheaptalk import (
-        compile_theorem41,
-        compile_theorem42,
-        compile_theorem44,
-        compile_theorem45,
-    )
-    from repro.cheaptalk.sync import compile_r1
-    from repro.sim import FifoScheduler
-
-    spec = _spec(args)
-    types = spec.game.type_space.profiles()[0]
-    if args.theorem == "4.1":
-        proto = compile_theorem41(spec, args.k, args.t)
-    elif args.theorem == "4.2":
-        proto = compile_theorem42(spec, args.k, args.t, epsilon=args.epsilon)
-    elif args.theorem == "4.4":
-        proto = compile_theorem44(spec, args.k, args.t)
-    elif args.theorem == "4.5":
-        proto = compile_theorem45(spec, args.k, args.t, epsilon=args.epsilon)
-    elif args.theorem == "r1":
-        sync = compile_r1(spec, args.k, args.t)
-        actions, result = sync.run(types, seed=args.seed)
-        print(
-            f"R1 synchronous baseline: actions={actions} "
-            f"rounds={result.rounds} messages={result.messages_sent}"
-        )
-        return
-    else:  # pragma: no cover
-        sys.exit(f"unknown theorem {args.theorem!r}")
-    print(proto.describe())
-    run = proto.game.run(types, FifoScheduler(), seed=args.seed)
-    print(format_run(run, spec.game.utility))
-
-
-def cmd_attack(args) -> None:
-    from repro.analysis.section64 import run_attack
-    from repro.mediator import (
-        LeakySection64Mediator,
-        MediatorGame,
-        minimally_informative,
-    )
-
-    n, k = max(args.n, 7), 2
-    spec = section64_game(n, k=k)
-    leaky = MediatorGame(
-        spec, k, 0, approach="ah", will=lambda pid, ty: BOT,
-        mediator_factory=lambda: LeakySection64Mediator(spec, k, 0),
-    )
-    attacked = run_attack(leaky, (0, 1), runs=args.runs, seed=args.seed)
-    minimal = minimally_informative(leaky, rounds=2)
-    defended = run_attack(minimal, (0, 1), runs=args.runs, seed=args.seed)
-    print(format_table(
-        ["mediator", "coalition outcomes", "mean payoff"],
-        [
-            ("leaky (a+b·i)", sorted(set(attacked)), f"{mean(attacked):.3f}"),
-            ("minimal f(σd)", sorted(set(defended)), f"{mean(defended):.3f}"),
-        ],
-    ))
-    print("\nequilibrium payoff is 1.5; leaky converts 1.0-runs into 1.1.")
 
 
 def _resolve_audits(args):
@@ -834,38 +759,6 @@ def cmd_audit_frontier(args) -> None:
     _audit_and_report(args, results)
 
 
-def cmd_profile(args) -> None:
-    """Run another repro command under cProfile and report the hot spots."""
-    from repro.errors import ObsError
-    from repro.obs import format_profile, profile_cli
-
-    command = list(args.profile_command)
-    if command and command[0] == "--":
-        command = command[1:]
-    if not command:
-        sys.exit(
-            "repro profile needs a command to run, e.g. "
-            "`repro profile -- sweep chicken-mediator`"
-        )
-    if command[0] == "profile":
-        sys.exit("refusing to profile `repro profile` recursively")
-    try:
-        summary = profile_cli(command, top=args.top, sort=args.sort)
-    except ObsError as exc:
-        sys.exit(str(exc))
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote {args.out}", file=sys.stderr)
-    if args.json:
-        print(json.dumps(summary, indent=2, sort_keys=True))
-    else:
-        print(format_profile(summary))
-    if summary["exit_code"]:
-        raise SystemExit(summary["exit_code"])
-
-
 def cmd_store_path(args) -> None:
     from repro.store import default_store_path, resolve_store_path
 
@@ -956,14 +849,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro",
         description="Implementing Mediators with Asynchronous Cheap Talk",
     )
-    parser.add_argument("--seed", type=int, default=0)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--game", default="consensus")
-        p.add_argument("-n", type=int, default=9)
-        p.add_argument("-k", type=int, default=1)
-        p.add_argument("-t", type=int, default=1)
 
     def experiment_options(p):
         p.add_argument("scenarios", nargs="+", metavar="scenario",
@@ -1008,8 +894,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override the scenario's first seed "
                             "(seed_start)")
         p.add_argument("--profile", action="store_true",
-                       help="print the prepare/run/payoff timing breakdown "
-                            "plus cache and pool statistics per scenario")
+                       help="print the prepare/run/payoff time summed from "
+                            "the cell spans, plus cache and pool statistics "
+                            "per scenario")
         p.add_argument("--json", action="store_true",
                        help="emit ExperimentResult JSON instead of tables")
         p.add_argument("--store", default=None, metavar="PATH",
@@ -1216,42 +1103,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="faultcheck scenarios to run (default: all registered)")
     p_faults_check.set_defaults(func=cmd_faults_check)
 
-    p_demo = sub.add_parser("demo", help="mediator vs cheap talk")
-    common(p_demo)
-    p_demo.set_defaults(func=cmd_demo)
-
     p_check = sub.add_parser("check", help="exact ideal robustness check")
-    common(p_check)
+    p_check.add_argument("--game", default="consensus")
+    p_check.add_argument("-n", type=int, default=9)
+    p_check.add_argument("-k", type=int, default=1)
+    p_check.add_argument("-t", type=int, default=1)
     p_check.set_defaults(func=cmd_check)
-
-    p_compile = sub.add_parser("compile", help="compile via a theorem and run")
-    common(p_compile)
-    p_compile.add_argument("--theorem", default="4.1", choices=sorted(THEOREMS))
-    p_compile.add_argument("--epsilon", type=float, default=0.01)
-    p_compile.set_defaults(func=cmd_compile)
-
-    p_attack = sub.add_parser("attack", help="Section 6.4 leak attack")
-    p_attack.add_argument("-n", type=int, default=7)
-    p_attack.add_argument("--runs", type=int, default=40)
-    p_attack.set_defaults(func=cmd_attack)
-
-    p_profile = sub.add_parser(
-        "profile", help="run another repro command under cProfile"
-    )
-    p_profile.add_argument("--top", type=int, default=20, metavar="N",
-                           help="how many functions to report (default 20)")
-    p_profile.add_argument("--sort", default="cumulative",
-                           choices=("cumulative", "tottime", "calls"),
-                           help="pstats sort order (default cumulative)")
-    p_profile.add_argument("--json", action="store_true",
-                           help="emit the profile summary as JSON")
-    p_profile.add_argument("--out", default=None, metavar="PATH",
-                           help="also write the summary JSON to PATH")
-    p_profile.add_argument("profile_command", nargs=argparse.REMAINDER,
-                           metavar="command",
-                           help="the repro command to profile, e.g. "
-                                "`-- sweep chicken-mediator`")
-    p_profile.set_defaults(func=cmd_profile)
 
     p_store = sub.add_parser(
         "store", help="inspect a result store (summary / query / path)"

@@ -91,7 +91,7 @@ class StoreError(ReproError):
 
 class ObsError(ReproError):
     """Invalid telemetry operation (metric kind clash, malformed span JSON,
-    unparseable Chrome trace document, profile target failed to start).
+    unparseable Chrome trace document).
 
     Telemetry is strictly out-of-band: nothing in ``repro.obs`` may alter a
     ``RunRecord`` or stored byte, so this error never signals corrupted

@@ -155,18 +155,6 @@ class ArtifactCache:
     def __len__(self) -> int:
         return len(self._store)
 
-    def stats(self) -> dict:
-        return {"hits": self.hits, "misses": self.misses,
-                "entries": len(self._store)}
-
-    def take_stats(self) -> dict:
-        """Stats since the last call (hit/miss deltas for one grid)."""
-        out = {"hits": self.hits, "misses": self.misses,
-               "entries": len(self._store)}
-        self.hits = 0
-        self.misses = 0
-        return out
-
 
 @dataclass(frozen=True)
 class PreparedCell:

@@ -202,21 +202,16 @@ def _execute(
     task: RunTask,
     start: float,
     cache: Optional[ArtifactCache] = None,
-    phases: Optional[list] = None,
 ) -> RunRecord:
     """One grid cell: cached prepare phase, then the per-seed run phase.
 
     ``start`` is the cell's ``perf_counter`` start; the record's
     ``duration_s`` is measured from it when the record is built.
-    ``phases`` (a 3-slot ``[prepare, run, payoff]`` accumulator in seconds)
-    is filled in when provided — the ``--profile`` timing breakdown.
     """
-    t0 = time.perf_counter()
     with obs_span("prepare"):
         prepared = prepare_cell(spec, task, cache)
     game_spec = prepared.game_spec
     types = prepared.types
-    t1 = time.perf_counter()
 
     base = dict(
         scenario=spec.name,
@@ -238,10 +233,6 @@ def _execute(
             payoffs = tuple(
                 float(u) for u in game_spec.game.utility(types, actions)
             )
-        t2 = time.perf_counter()
-        if phases is not None:
-            phases[0] += t1 - t0
-            phases[2] += t2 - t1
         return RunRecord(
             actions=tuple(actions),
             payoffs=payoffs,
@@ -253,16 +244,10 @@ def _execute(
     if spec.theorem == "r1":
         with obs_span("run"):
             actions, result = prepared.game.run(types, seed=task.seed)
-        t2 = time.perf_counter()
         with obs_span("payoff"):
             payoffs = tuple(
                 float(u) for u in game_spec.game.utility(types, actions)
             )
-        t3 = time.perf_counter()
-        if phases is not None:
-            phases[0] += t1 - t0
-            phases[1] += t2 - t1
-            phases[2] += t3 - t2
         return RunRecord(
             actions=tuple(actions),
             payoffs=payoffs,
@@ -308,13 +293,12 @@ def _execute(
             faults=task.faults,
             **run_kwargs,
         )
-    t2 = time.perf_counter()
     with obs_span("payoff"):
         payoffs = tuple(
             float(u) for u in game_spec.game.utility(types, run.actions)
         )
     result = run.result
-    record = RunRecord(
+    return RunRecord(
         actions=tuple(run.actions),
         payoffs=payoffs,
         agreed=len(set(run.actions)) == 1,
@@ -329,12 +313,6 @@ def _execute(
         duration_s=time.perf_counter() - start,
         **base,
     )
-    t3 = time.perf_counter()
-    if phases is not None:
-        phases[0] += t1 - t0
-        phases[1] += t2 - t1
-        phases[2] += t3 - t2
-    return record
 
 
 def execute_task(
@@ -342,7 +320,6 @@ def execute_task(
     task: RunTask,
     timeout_s: Optional[float] = None,
     cache: Optional[ArtifactCache] = None,
-    phases: Optional[list] = None,
 ) -> RunRecord:
     """Run one grid cell, converting failures into error records."""
     limit = timeout_s if timeout_s is not None else spec.timeout_s
@@ -358,7 +335,7 @@ def execute_task(
             seed=task.seed,
             runtime=task.runtime,
         ), _time_limit(limit):
-            return _execute(spec, task, start, cache=cache, phases=phases)
+            return _execute(spec, task, start, cache=cache)
     except _RunTimeout:
         return _error_record(
             spec, task, start, f"timed out after {limit}s", timed_out=True
@@ -420,7 +397,6 @@ def _worker_tracer() -> Tracer:
 
 def _pool_worker(payload):
     spec, task, timeout_s, trace = payload
-    phases = [0.0, 0.0, 0.0]
     cache = _WORKER_CACHE
     before = (cache.hits, cache.misses) if cache is not None else (0, 0)
     spans: tuple = ()
@@ -428,20 +404,15 @@ def _pool_worker(payload):
         tracer = _worker_tracer()
         activate(tracer)
     try:
-        record = execute_task(
-            spec, task, timeout_s=timeout_s, cache=cache, phases=phases
-        )
+        record = execute_task(spec, task, timeout_s=timeout_s, cache=cache)
     finally:
         if trace:
             deactivate()
     if trace:
         spans = tuple(tracer.drain())
     after = (cache.hits, cache.misses) if cache is not None else (0, 0)
-    stats = (
-        phases[0], phases[1], phases[2],
-        after[0] - before[0], after[1] - before[1],
-    )
-    return task.index, record, stats, spans
+    hits, misses = after[0] - before[0], after[1] - before[1]
+    return task.index, record, hits, misses, spans
 
 
 # -- the runner --------------------------------------------------------------
@@ -698,14 +669,6 @@ class ExperimentRunner:
         metrics.counter(
             "repro_runner_cache_misses_total", "artifact-cache misses"
         ).inc(cache.get("misses", 0))
-        phase_seconds = metrics.counter(
-            "repro_runner_phase_seconds_total",
-            "cumulative simulation time by phase",
-        )
-        phases = result.stats.get("phases", {})
-        phase_seconds.inc(phases.get("prepare_s", 0.0), phase="prepare")
-        phase_seconds.inc(phases.get("run_s", 0.0), phase="run")
-        phase_seconds.inc(phases.get("payoff_s", 0.0), phase="payoff")
         pool = result.stats.get("pool", {})
         metrics.counter(
             "repro_runner_mode_total", "run() calls by execution mode"
@@ -727,12 +690,10 @@ class ExperimentRunner:
         """
         if records is None:
             records = [None] * len(tasks)
-        phases = [0.0, 0.0, 0.0]
         before = (self._cache.hits, self._cache.misses)
         for task in tasks:
             record = execute_task(
-                spec, task, self.timeout_s,
-                cache=self._cache, phases=phases,
+                spec, task, self.timeout_s, cache=self._cache
             )
             records[task.index] = record
             if on_record is not None:
@@ -742,11 +703,6 @@ class ExperimentRunner:
                 "hits": self._cache.hits - before[0],
                 "misses": self._cache.misses - before[1],
                 "entries": len(self._cache),
-            },
-            "phases": {
-                "prepare_s": phases[0],
-                "run_s": phases[1],
-                "payoff_s": phases[2],
             },
         }
         return records, stats
@@ -772,20 +728,16 @@ class ExperimentRunner:
         chunksize = max(1, min(16, len(tasks) // (processes * 4) or 1))
         if records is None:
             records = [None] * len(tasks)
-        phases = [0.0, 0.0, 0.0]
         hits = misses = 0
         span_buffers: dict[int, tuple] = {}
-        for index, record, cell_stats, cell_spans in pool.imap_unordered(
-            _pool_worker, payloads, chunksize=chunksize
+        for index, record, cell_hits, cell_misses, cell_spans in (
+            pool.imap_unordered(_pool_worker, payloads, chunksize=chunksize)
         ):
             records[index] = record
             if on_record is not None:
                 on_record(index, record)
-            phases[0] += cell_stats[0]
-            phases[1] += cell_stats[1]
-            phases[2] += cell_stats[2]
-            hits += cell_stats[3]
-            misses += cell_stats[4]
+            hits += cell_hits
+            misses += cell_misses
             if cell_spans:
                 span_buffers[index] = cell_spans
         if trace:
@@ -796,11 +748,6 @@ class ExperimentRunner:
                 tracer.merge(list(span_buffers[index]), root_id=trace_root)
         stats = {
             "cache": {"hits": hits, "misses": misses},
-            "phases": {
-                "prepare_s": phases[0],
-                "run_s": phases[1],
-                "payoff_s": phases[2],
-            },
             "chunksize": chunksize,
         }
         return records, stats

@@ -112,9 +112,6 @@ class FaultInjector:
                 return self._events.pop(i)
         return None
 
-    def pending_recovery(self) -> bool:
-        return any(event.is_recovery for event in self._events)
-
     # -- per-send decisions --------------------------------------------------
 
     def fate(self, sender: int, recipient: int, step: int) -> tuple:

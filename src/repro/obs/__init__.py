@@ -1,4 +1,4 @@
-"""Unified telemetry layer: metrics, span tracing, profiling hooks.
+"""Unified telemetry layer: metrics and span tracing.
 
 ``repro.obs`` is the observability subsystem shared by every layer of the
 repro stack — the experiment runner, the audit engine and the result
@@ -9,21 +9,19 @@ The layer is *strictly out-of-band* (CONTRIBUTING invariant 8): nothing
 observable may alter a ``RunRecord``, a stored document, or the
 ``parallel == serial`` byte-identity guarantee. ``REPRO_OBS=off`` (or
 :func:`set_enabled`) turns every metric mutation into a no-op; tracing is
-opt-in per run (``--trace-out`` / :func:`activate`); profiling wraps the
-CLI from the outside. All wall-clock reads live inside the lint rule's
-scoped clock exemption — OS entropy stays banned here like everywhere.
+opt-in per run (``--trace-out`` / ``--profile`` / :func:`activate`). All
+wall-clock reads live inside the lint rule's scoped clock exemption — OS
+entropy stays banned here like everywhere.
 
-Three pillars:
+Two pillars:
 
 * :mod:`repro.obs.metrics` — counters/gauges/histograms with labels,
   deterministic JSON snapshots, mark/delta.
 * :mod:`repro.obs.tracing` — nested spans, lossless JSON round-trip,
   Chrome trace-event export, cross-pool span buffering/merge.
-* :mod:`repro.obs.profiling` — cProfile top-N JSON for ``repro profile``.
 
 Exports resolve lazily (module ``__getattr__``, mirroring the top-level
-``repro`` package) so pool workers importing the runner do not pay for
-``cProfile`` imports they never use.
+``repro`` package), so importing the package loads neither pillar.
 """
 
 from __future__ import annotations
@@ -50,12 +48,9 @@ _TRACING_EXPORTS = (
     "span",
 )
 
-_PROFILING_EXPORTS = ("format_profile", "profile_call", "profile_cli")
-
 _EXPORT_MODULES = {
     **{name: "repro.obs.metrics" for name in _METRICS_EXPORTS},
     **{name: "repro.obs.tracing" for name in _TRACING_EXPORTS},
-    **{name: "repro.obs.profiling" for name in _PROFILING_EXPORTS},
 }
 
 __all__ = sorted(_EXPORT_MODULES)

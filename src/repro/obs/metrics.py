@@ -29,7 +29,7 @@ from __future__ import annotations
 import json
 import os
 import threading
-from typing import Iterator, Optional
+from typing import Optional
 
 from repro.errors import ObsError
 
@@ -349,11 +349,3 @@ _REGISTRY = MetricsRegistry()
 def registry() -> MetricsRegistry:
     """The process-global default registry shared by all repro layers."""
     return _REGISTRY
-
-
-def iter_instruments() -> Iterator[_Instrument]:
-    reg = registry()
-    with reg._lock:
-        names = sorted(reg._instruments)
-    for name in names:
-        yield reg._instruments[name]

@@ -145,9 +145,6 @@ class TransitView:
     def batch_of(self, uid: int) -> int:
         return self._net._in_transit[uid].batch
 
-    def view_of(self, uid: int) -> MessageView:
-        return self._net._in_transit[uid].view()
-
     def to_recipient(self, recipient: int) -> Iterator[MessageView]:
         bucket = self._net._by_recipient.get(recipient)
         return (m.view() for m in bucket.values()) if bucket else iter(())
@@ -336,16 +333,6 @@ class Network:
 
     def in_transit_views(self) -> list[MessageView]:
         return [m.view() for m in self.in_transit()]
-
-    def in_transit_to(self, recipient: int) -> list[Message]:
-        return list(self._by_recipient.get(recipient, {}).values())
-
-    def has_message_for(self, recipients: Iterable[int]) -> bool:
-        by_r = self._by_recipient
-        return any(r in by_r for r in recipients)
-
-    def batch_members(self, batch: int) -> list[Message]:
-        return list(self._by_batch.get(batch, {}).values())
 
     def __len__(self) -> int:
         return len(self._in_transit)

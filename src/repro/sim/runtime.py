@@ -69,10 +69,6 @@ class RunResult:
     (start signals): ``messages_sent - env_messages`` is the protocol's own
     traffic."""
 
-    def output_profile(self, pids: list[int], missing: Any = None) -> tuple:
-        """Outputs as a tuple ordered by ``pids`` (``missing`` if absent)."""
-        return tuple(self.outputs.get(pid, missing) for pid in pids)
-
 
 class Runtime:
     """Run a set of processes to completion under a scheduler.

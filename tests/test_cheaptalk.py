@@ -1,6 +1,8 @@
 """Tests for the cheap-talk compilers, properties, and circuits."""
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -29,12 +31,14 @@ from repro.games.library import (
     section64_game,
     shamir_secret_game,
 )
+from repro.games.registry import make_game
 from repro.mediator import MediatorGame
 from repro.sim import FifoScheduler, RandomScheduler, scheduler_zoo
 
 from tests.helpers import CrashProcess
 
 F = GF(DEFAULT_PRIME)
+EXAMPLE_GAME = Path(__file__).parent.parent / "examples" / "custom_game.json"
 
 
 class TestMediatorCircuits:
@@ -79,6 +83,35 @@ class TestMediatorCircuits:
         spec.name = "mystery-game"
         with pytest.raises(MediatorError):
             mediator_circuit_for(spec, F)
+
+    @pytest.mark.parametrize(
+        "name, implements",
+        [("consensus-lookalike(n=7)", True),
+         ("byz-agreement-lookalike(n=7)", False)],
+    )
+    def test_file_game_named_like_a_library_game(
+        self, tmp_path, name, implements
+    ):
+        """A builder picked by name prefix must match the game's own rule.
+
+        The game is the common-coin example widened to 7 players: the coin
+        circuit implements it, the majority circuit does not.
+        """
+        definition = json.loads(EXAMPLE_GAME.read_text())
+        definition.update(
+            name=name,
+            n=7,
+            actions=[definition["actions"][0]] * 7,
+            types={"kind": "single", "profile": [0] * 7},
+        )
+        path = tmp_path / "game.json"
+        path.write_text(json.dumps(definition))
+        spec = make_game(f"file:{path}", 7)
+        if implements:
+            assert mediator_circuit_for(spec, F).randbit_count == 1
+        else:
+            with pytest.raises(MediatorError, match="mediator_dist"):
+                mediator_circuit_for(spec, F)
 
 
 class TestCompilerBounds:

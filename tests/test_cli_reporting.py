@@ -4,7 +4,6 @@ import pytest
 
 from repro.analysis.reporting import (
     format_outcome_samples,
-    format_run,
     format_solution_report,
     format_table,
 )
@@ -51,17 +50,6 @@ class TestFormatReports:
         assert "VIOLATED" in text
         assert "coalition" in text
 
-    def test_format_run(self):
-        class FakeRun:
-            types = (0, 0)
-            actions = (1, 1)
-
-            def message_count(self):
-                return 5
-
-        text = format_run(FakeRun())
-        assert "messages=5" in text
-
     def test_format_outcome_samples(self):
         samples = {(0,): [(1,), (1,), (0,)]}
         text = format_outcome_samples(samples)
@@ -71,8 +59,8 @@ class TestFormatReports:
 class TestCli:
     def test_parser_builds(self):
         parser = build_parser()
-        args = parser.parse_args(["demo", "--game", "consensus", "-n", "9"])
-        assert args.command == "demo"
+        args = parser.parse_args(["check", "--game", "consensus", "-n", "9"])
+        assert args.command == "check"
 
     def test_games_command(self, capsys):
         main(["games", "-n", "9"])
@@ -85,17 +73,15 @@ class TestCli:
         out = capsys.readouterr().out
         assert "HOLDS" in out
 
-    def test_compile_r1_command(self, capsys):
-        main([
-            "compile", "--game", "consensus", "-n", "7", "-k", "1",
-            "-t", "1", "--theorem", "r1",
-        ])
-        out = capsys.readouterr().out
-        assert "R1 synchronous baseline" in out
-
     def test_unknown_game_exits(self):
         with pytest.raises(SystemExit):
-            main(["demo", "--game", "nope"])
+            main(["check", "--game", "nope"])
+
+    def test_top_level_seed_is_rejected(self):
+        # `run` has its own --seed (seed_start); a top-level one would be
+        # silently overridden by it.
+        with pytest.raises(SystemExit):
+            main(["--seed", "5", "run", "chicken-mediator"])
 
     def test_scenarios_json(self, capsys):
         import json

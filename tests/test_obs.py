@@ -1,4 +1,4 @@
-"""The telemetry layer: metrics, tracing, profiling, and the invariant
+"""The telemetry layer: metrics, tracing, and the invariant
 that all of it stays strictly out-of-band (CONTRIBUTING invariant 8).
 
 The byte-identity meta-test is the load-bearing one: the same scenario
@@ -368,32 +368,6 @@ class TestAuditStoreInstrumentation:
         assert delta["repro_store_fetch_seconds_count"] >= 1
 
 
-# -- profiling ----------------------------------------------------------------
-
-class TestProfiling:
-    def test_profile_call_reports_top_functions(self):
-        from repro.obs import profile_call
-
-        def work():
-            total = [i * i for i in range(1000)]
-            del total  # int returns become exit codes; return None
-
-        summary = profile_call(work, top=5)
-        assert summary["version"] == 1
-        assert summary["exit_code"] == 0
-        assert 0 < len(summary["top"]) <= 5
-        assert all(
-            {"function", "calls", "time_s", "cumtime_s"} <= set(row)
-            for row in summary["top"]
-        )
-
-    def test_profile_call_rejects_bad_top(self):
-        from repro.obs import profile_call
-
-        with pytest.raises(ObsError):
-            profile_call(lambda: None, top=0)
-
-
 # -- the CLI surface ----------------------------------------------------------
 
 class TestCli:
@@ -409,14 +383,3 @@ class TestCli:
         }
         assert {"scenario", "cell"} <= names
         assert current_tracer() is None  # the CLI deactivated its tracer
-
-    def test_profile_command_runs_a_child_command(self, tmp_path, capsys):
-        from repro.cli import main
-
-        out_path = tmp_path / "prof.json"
-        main(["profile", "--top", "3", "--out", str(out_path),
-              "--", "scenarios"])
-        capsys.readouterr()
-        doc = json.loads(out_path.read_text())
-        assert doc["exit_code"] == 0
-        assert len(doc["top"]) == 3

@@ -109,6 +109,9 @@ class StallAfter(Process):
     def on_deadlock(self, pid):
         return self.inner.on_deadlock(pid)
 
+    def release(self):
+        self.inner.release()
+
 
 class CovertSignaller(Process):
     """Section 6.1's covert channel: encode observations in self-messages.
@@ -133,6 +136,9 @@ class CovertSignaller(Process):
 
     def on_deadlock(self, pid):
         return self.inner.on_deadlock(pid)
+
+    def release(self):
+        self.inner.release()
 
 
 # ---------------------------------------------------------------------------

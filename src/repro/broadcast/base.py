@@ -260,3 +260,9 @@ class SessionHost(Process):
     def on_plain_message(self, ctx: Context, sender: int, payload: Any) -> None:
         """Hook for non-session messages. Honest hosts send none, so by
         default they are Byzantine noise and ignored."""
+
+    def release(self) -> None:
+        """Drop the sessions and subscriptions: each points back at this
+        host. ``results`` stay readable."""
+        self.sessions.clear()
+        self._subscribers.clear()

@@ -22,7 +22,7 @@ from repro.circuits import Circuit
 from repro.errors import CompilationError, GameError
 from repro.field import GF, DEFAULT_PRIME
 from repro.games.library import GameSpec
-from repro.mediator.games import MediatorRun, build_engine
+from repro.mediator.games import MediatorRun, run_engine
 from repro.mpc import TrustedSetup, mpc_sid
 from repro.sim import Scheduler, TimingModel
 from repro.sim.runtime import RunResult
@@ -47,8 +47,12 @@ class CheapTalkPlayer(SessionHost):
         peers = list(range(spec.game.n))
         super().__init__(pid, peers, config, on_ready=self._kick)
 
-    def _kick(self, host: "CheapTalkPlayer") -> None:
-        self.await_session(ENGINE_SID, self._on_engine_result)
+    @staticmethod
+    def _kick(host: "CheapTalkPlayer") -> None:
+        # A plain function, not a bound method: the host keeps its
+        # ``on_ready``, and a method bound to the host would make the two
+        # a reference cycle (in crash-restart snapshots too).
+        host.await_session(ENGINE_SID, host._on_engine_result)
 
     def _on_engine_result(self, sid: tuple, outputs: dict) -> None:
         encoded = outputs.get(output_label(self.me))
@@ -198,7 +202,7 @@ class CheapTalkGame:
         types = tuple(types)
         setup = self.build_setup(seed)
         processes = self.processes(types, setup, deviations)
-        result = build_engine(
+        result = run_engine(
             processes,
             scheduler,
             runtime=runtime,
@@ -209,7 +213,7 @@ class CheapTalkGame:
             timing=timing,
             record_trace=record_trace,
             faults=faults,
-        ).run()
+        )
         actions = self.resolve_actions(types, result)
         return MediatorRun(actions=actions, result=result, types=types)
 

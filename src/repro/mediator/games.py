@@ -22,29 +22,40 @@ DeviationFactory = Callable[[int, Any], Any]
 """(pid, own_type) -> Process replacing the honest player."""
 
 
-def build_engine(
+def run_engine(
     processes: dict[int, Any],
     scheduler: Scheduler,
     runtime: str = "sim",
     latency: str = "zero",
     timing: Optional[TimingModel] = None,
     **options: Any,
-):
-    """The engine that runs a game's processes on ``runtime``.
+) -> RunResult:
+    """Run a game's processes on ``runtime``, then release them.
 
     ``sim`` and ``net`` both run on the kernel; ``net`` swaps the
     scheduler and timing model for a
     :class:`~repro.sim.scheduler.LatencyScheduler` over ``latency``.
     ``net-tcp`` runs the asyncio substrate over localhost sockets.
     ``options`` are the keyword arguments both engines share.
+
+    The processes are built for this one run, so once it returns each is
+    released (:meth:`~repro.sim.process.Process.release`) and the cell
+    leaves nothing for the cyclic garbage collector.
     """
     if runtime == "net-tcp":
         from repro.net.runtime import NetRuntime
 
-        return NetRuntime(processes, latency=latency, **options)
-    if runtime == "net":
-        scheduler, timing = LatencyScheduler(latency), None
-    return Runtime(processes, scheduler, timing=timing, **options)
+        engine = NetRuntime(processes, latency=latency, **options)
+    else:
+        if runtime == "net":
+            scheduler, timing = LatencyScheduler(latency), None
+        engine = Runtime(processes, scheduler, timing=timing, **options)
+    try:
+        return engine.run()
+    finally:
+        # A crash-restart swaps a fresh copy into the engine's map.
+        for process in (*processes.values(), *engine.processes.values()):
+            process.release()
 
 
 @dataclass
@@ -131,7 +142,7 @@ class MediatorGame:
     ) -> MediatorRun:
         types = tuple(types)
         processes = self.processes(types, deviations)
-        result = build_engine(
+        result = run_engine(
             processes,
             scheduler,
             runtime=runtime,
@@ -143,7 +154,7 @@ class MediatorGame:
             timing=timing,
             record_trace=record_trace,
             faults=faults,
-        ).run()
+        )
         actions = self.resolve_actions(types, result)
         return MediatorRun(actions=actions, result=result, types=types)
 

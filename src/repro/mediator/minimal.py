@@ -39,11 +39,8 @@ class LeakySection64Mediator(FnMediator):
             self.b = ctx.rng.randrange(2)
         return (self.a + self.b * pid) % 2
 
-    def _advance(self, ctx) -> None:  # inject leak into round messages
-        self.round_info = lambda _m, r, pid, _ctx=ctx: self.round_info_value(
-            _ctx, pid
-        )
-        super()._advance(ctx)
+    def round_info(self, ctx, round_no: int, pid: int) -> int:
+        return self.round_info_value(ctx, pid)
 
     def compute_actions(self, ctx, profile: tuple) -> tuple:
         if self.b is None:  # quorum met before any round message (rounds=2: no)

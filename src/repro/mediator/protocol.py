@@ -89,7 +89,6 @@ class FnMediator(Process):
         t: int,
         rounds: int = MEDIATOR_ROUNDS_DEFAULT,
         default_type: Optional[Callable[[int], Any]] = None,
-        round_info: Optional[Callable[[Any, int, int], Any]] = None,
     ) -> None:
         if rounds < 1:
             raise MediatorError("mediator needs at least one round")
@@ -102,7 +101,6 @@ class FnMediator(Process):
         self.default_type = default_type or (
             lambda pid: spec.game.type_space.profiles()[0][pid]
         )
-        self.round_info = round_info
         self.reports: dict[int, dict[int, Any]] = {}
         self.current_round = 0
         self.stopped = False
@@ -160,9 +158,7 @@ class FnMediator(Process):
                 self.current_round += 1
                 next_round = self.current_round
                 for pid in range(self.n):
-                    info = None
-                    if self.round_info is not None:
-                        info = self.round_info(self, next_round, pid)
+                    info = self.round_info(ctx, next_round, pid)
                     ctx.send(pid, ("round", next_round, info))
                 return
             self._finalize(ctx, complete)
@@ -182,6 +178,11 @@ class FnMediator(Process):
     def compute_actions(self, ctx: Context, profile: tuple) -> tuple:
         """Hook: the recommendation profile (override for leaky variants)."""
         return tuple(self.spec.mediator_fn(profile, ctx.rng))
+
+    def round_info(self, ctx: Context, round_no: int, pid: int) -> Any:
+        """Hook: the ``info`` slot of ``pid``'s round message (``None``
+        here; the Section 6.4 leaky mediator overrides it)."""
+        return None
 
     # -- Process interface ---------------------------------------------------
 

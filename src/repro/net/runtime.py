@@ -319,6 +319,8 @@ class NetRuntime:
                     )
         finally:
             await transport.stop()
+            # Contexts point back at this runtime; see Runtime.run.
+            self._contexts.clear()
         if tasks:
             await asyncio.gather(*tasks, return_exceptions=True)
 
@@ -453,7 +455,7 @@ class NetRuntime:
         metrics,
         observed_delay: float,
     ) -> None:
-        msg = self.network.deliver(uid, self._step)
+        msg = self.network.deliver(uid)
         self._step += 1
         if self._trace_on:
             self.trace.add(

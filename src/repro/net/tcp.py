@@ -45,6 +45,15 @@ RECONNECT_BASE_S = 0.05
 RECONNECT_CAP_S = 1.0
 
 
+async def _close(writer: asyncio.StreamWriter) -> None:
+    """Close one stream and wait until its socket is released."""
+    writer.close()
+    try:
+        await writer.wait_closed()
+    except (ConnectionError, OSError):
+        pass  # the peer went first; the socket is closed all the same
+
+
 class TcpTransport:
     """Localhost TCP transport: one server per node, one conn per edge."""
 
@@ -68,6 +77,9 @@ class TcpTransport:
         self._servers: dict[int, asyncio.base_events.Server] = {}
         self._ports: dict[int, int] = {}
         self._writers: dict[tuple[int, int], asyncio.StreamWriter] = {}
+        self._serving: set = set()
+        """Server-side tasks, one per accepted connection; each closes
+        its own stream when the peer hangs up."""
         self._pending: set = set()
         self._sent_at: dict[int, float] = {}
         self._t0: float | None = None
@@ -101,10 +113,15 @@ class TcpTransport:
         _reader, writer = await asyncio.open_connection(
             "127.0.0.1", self._ports[recipient]
         )
+        broken = self._writers.get((sender, recipient))
         self._writers[(sender, recipient)] = writer
+        if broken is not None:
+            await _close(broken)
 
     async def _serve_peer(self, pid, reader, writer) -> None:
         """Server side of one edge: frames in, arrival queue out."""
+        task = asyncio.current_task()
+        self._serving.add(task)
         try:
             while True:
                 header = await reader.readexactly(4)
@@ -119,6 +136,9 @@ class TcpTransport:
                 self._arrived.put_nowait((uid, payload))
         except (asyncio.IncompleteReadError, ConnectionResetError):
             pass
+        finally:
+            await _close(writer)
+            self._serving.discard(task)
 
     def _on_corrupt_frame(self, uid: int) -> None:
         """A frame failed its CRC: the message it carried is lost."""
@@ -243,7 +263,7 @@ class TcpTransport:
             server.close()
             await server.wait_closed()
         for edge in [e for e in self._writers if pid in e]:
-            self._writers.pop(edge).close()
+            await _close(self._writers.pop(edge))
 
     async def revive_node(self, pid: int) -> None:
         """Bring a killed node back: fresh server, fresh port; edges are
@@ -283,12 +303,17 @@ class TcpTransport:
         return None
 
     async def stop(self) -> None:
+        """Cancel queued writes, then close every socket and await it.
+
+        Closing the client side of each edge ends the server side's read
+        loop, which closes that stream in turn."""
         for task in list(self._pending):
             task.cancel()
         if self._pending:
             await asyncio.gather(*self._pending, return_exceptions=True)
-        for writer in self._writers.values():
-            writer.close()
+        writers = list(self._writers.values())
+        self._writers.clear()
+        await asyncio.gather(*(_close(writer) for writer in writers))
         for server in self._servers.values():
             server.close()
         if self._servers:
@@ -296,3 +321,5 @@ class TcpTransport:
                 *(server.wait_closed() for server in self._servers.values()),
                 return_exceptions=True,
             )
+        if self._serving:
+            await asyncio.gather(*self._serving, return_exceptions=True)

@@ -45,9 +45,6 @@ class Message:
     (Section 5), which is the hook this field exists for.
     """
 
-    delivered_step: Optional[int] = None
-    dropped: bool = False
-
     def view(self) -> "MessageView":
         return MessageView(
             uid=self.uid,
@@ -79,78 +76,91 @@ class TransitView:
     that answer in O(1) from the network's sorted uid list and buckets.
     Schedulers should prefer the indexed queries; payloads are never
     reachable through this object.
+
+    The view holds the pool's containers, not the :class:`Network`, so
+    the network and its view form no reference cycle and a finished run's
+    pool is freed by reference counting. The network never rebinds those
+    containers, which keeps the view current.
     """
 
-    __slots__ = ("_net",)
+    __slots__ = ("_in_transit", "_uids", "_by_recipient", "_by_sender",
+                 "_by_batch", "_self_counts")
 
     def __init__(self, net: "Network") -> None:
-        self._net = net
+        self._in_transit = net._in_transit
+        self._uids = net._uids
+        self._by_recipient = net._by_recipient
+        self._by_sender = net._by_sender
+        self._by_batch = net._by_batch
+        self._self_counts = net._self_counts
 
     # -- Sequence[MessageView] compatibility --------------------------------
 
     def __len__(self) -> int:
-        return len(self._net._in_transit)
+        return len(self._in_transit)
 
     def __bool__(self) -> bool:
-        return bool(self._net._in_transit)
+        return bool(self._in_transit)
 
     def __iter__(self) -> Iterator[MessageView]:
-        return (m.view() for m in self._net.in_transit())
+        in_transit = self._in_transit
+        messages = [in_transit[uid] for uid in self._uids]
+        return (m.view() for m in messages)
 
     def __getitem__(self, index):
-        net = self._net
+        in_transit = self._in_transit
         if isinstance(index, slice):
-            return [net._in_transit[uid].view() for uid in net._uids[index]]
-        return net._in_transit[net._uids[index]].view()
+            return [in_transit[uid].view() for uid in self._uids[index]]
+        return in_transit[self._uids[index]].view()
 
     # -- indexed queries -----------------------------------------------------
 
     def uids(self) -> list[int]:
         """All in-transit uids, ascending (send order). Do not mutate."""
-        return self._net._uids
+        return self._uids
 
     def has_uid(self, uid: int) -> bool:
         """Is message ``uid`` still in transit?"""
-        return uid in self._net._in_transit
+        return uid in self._in_transit
 
     def min_uid(self) -> Optional[int]:
         """Oldest in-transit uid, or None when the pool is empty."""
-        uids = self._net._uids
+        uids = self._uids
         return uids[0] if uids else None
 
     def nth_uid(self, index: int) -> int:
         """The ``index``-th oldest in-transit uid (0 is the oldest)."""
-        return self._net._uids[index]
+        return self._uids[index]
 
     def recipients(self):
         """Recipients with at least one in-transit message."""
-        return self._net._by_recipient.keys()
+        return self._by_recipient.keys()
 
     def senders(self):
         """Senders with at least one in-transit message."""
-        return self._net._by_sender.keys()
+        return self._by_sender.keys()
 
     def oldest_to(self, recipient: int) -> Optional[int]:
-        bucket = self._net._by_recipient.get(recipient)
+        bucket = self._by_recipient.get(recipient)
         return next(iter(bucket)) if bucket else None
 
     def oldest_from(self, sender: int) -> Optional[int]:
-        bucket = self._net._by_sender.get(sender)
+        bucket = self._by_sender.get(sender)
         return next(iter(bucket)) if bucket else None
 
     def oldest_in_batch(self, batch: int) -> Optional[int]:
-        bucket = self._net._by_batch.get(batch)
+        bucket = self._by_batch.get(batch)
         return next(iter(bucket)) if bucket else None
 
     def batch_of(self, uid: int) -> int:
-        return self._net._in_transit[uid].batch
+        return self._in_transit[uid].batch
 
     def to_recipient(self, recipient: int) -> Iterator[MessageView]:
-        bucket = self._net._by_recipient.get(recipient)
+        bucket = self._by_recipient.get(recipient)
         return (m.view() for m in bucket.values()) if bucket else iter(())
 
     def from_sender(self, sender: int) -> Iterator[MessageView]:
-        bucket = self._net._by_sender.get(sender)
+        bucket = self._by_sender.get(sender)
         return (m.view() for m in bucket.values()) if bucket else iter(())
 
     def self_senders(self):
@@ -161,7 +171,7 @@ class TransitView:
         send/remove, so the set is almost always empty and a watch over
         a coalition is one ``isdisjoint`` per step.
         """
-        return self._net._self_counts.keys()
+        return self._self_counts.keys()
 
 
 TransitPool = Union[TransitView, "Iterable[MessageView]"]
@@ -249,15 +259,13 @@ class Network:
                 del self._self_counts[msg.sender]
         return msg
 
-    def deliver(self, uid: int, step: int) -> Message:
+    def deliver(self, uid: int) -> Message:
         msg = self._remove(uid)
-        msg.delivered_step = step
         self.total_delivered += 1
         return msg
 
     def drop(self, uid: int) -> Message:
         msg = self._remove(uid)
-        msg.dropped = True
         self.total_dropped += 1
         return msg
 

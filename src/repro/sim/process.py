@@ -96,6 +96,16 @@ class Process:
         """
         return None
 
+    def release(self) -> None:
+        """Drop the run state that points back at this process.
+
+        Called after the run by the code that built the process, so that
+        a finished cell holds no reference cycle and reference counting
+        frees it. The kernel never calls it: code that runs a kernel
+        directly may read a process's state afterwards. Must be safe to
+        call more than once.
+        """
+
 
 class FuncProcess(Process):
     """Adapter turning plain callables into a :class:`Process`.

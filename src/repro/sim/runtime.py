@@ -276,100 +276,107 @@ class Runtime:
     # -- the main loop -------------------------------------------------------
 
     def run(self) -> RunResult:
-        self.scheduler.reset(self.seed)
-        self.timing.reset(self)
-        faults = self._faults
-        if faults is not None:
-            faults.reset(self.seed, self.processes)
-        self._inject_start_signals()
-        stopped_by_scheduler = False
-        all_pids = set(self.processes)
-        # Localize per-iteration state: the loop runs once per delivered
-        # message and attribute lookups are a measurable share of it.
-        timing_passive = self._timing_passive
-        network_view = self.network.view
-        choose = self.scheduler.choose
-        step_limit = self.step_limit
-        halted = self.halted
-
-        while True:
-            if self._step >= step_limit:
-                if self.raise_on_step_limit:
-                    raise StepLimitExceeded(
-                        f"no quiescence after {self.step_limit} steps "
-                        f"(scheduler {self.scheduler.name})"
-                    )
-                break
-            if halted >= all_pids:
-                break
+        try:
+            self.scheduler.reset(self.seed)
+            self.timing.reset(self)
+            faults = self._faults
             if faults is not None:
-                due = faults.due_events(self._step)
-                if due:
-                    self._apply_fault_events(due)
-                    if halted >= all_pids:
-                        break
+                faults.reset(self.seed, self.processes)
+            self._inject_start_signals()
+            stopped_by_scheduler = False
+            all_pids = set(self.processes)
+            # Localize per-iteration state: the loop runs once per delivered
+            # message and attribute lookups are a measurable share of it.
+            timing_passive = self._timing_passive
+            network_view = self.network.view
+            choose = self.scheduler.choose
+            step_limit = self.step_limit
+            halted = self.halted
 
-            if timing_passive:
-                pool = network_view()
-            else:
-                pool = self.timing.eligible(self.network, self._step)
-            if not len(pool):
-                if self.timing.advance(self):
-                    continue
-                if faults is not None and self._advance_faults():
-                    continue
-                break  # quiesced: nothing deliverable, time cannot advance
-
-            uid = choose(pool, self._step)
-            if uid is None:
-                if not self.scheduler.is_relaxed():
-                    raise SchedulerError(
-                        f"non-relaxed scheduler {self.scheduler.name} refused "
-                        f"to deliver with {len(self.network)} messages in transit"
-                    )
-                forced = self._forced_batch_completion(pool)
-                if forced is None:
-                    stopped_by_scheduler = True
-                    break
-                uid = forced
-            self._deliver(uid)
-
-        if stopped_by_scheduler:
-            for msg in self.network.in_transit():
-                if self._trace_on:
-                    self.trace.add(
-                        TraceEvent(
-                            step=self._step,
-                            kind="drop",
-                            pid=msg.recipient,
-                            sender=msg.sender,
-                            recipient=msg.recipient,
-                            uid=msg.uid,
+            while True:
+                if self._step >= step_limit:
+                    if self.raise_on_step_limit:
+                        raise StepLimitExceeded(
+                            f"no quiescence after {self.step_limit} steps "
+                            f"(scheduler {self.scheduler.name})"
                         )
-                    )
-                self.network.drop(msg.uid)
+                    break
+                if halted >= all_pids:
+                    break
+                if faults is not None:
+                    due = faults.due_events(self._step)
+                    if due:
+                        self._apply_fault_events(due)
+                        if halted >= all_pids:
+                            break
 
-        live = set(self.processes) - self.halted
-        deadlocked = bool(live) and (
-            stopped_by_scheduler or len(self.network) == 0
-        )
-        wills = {}
-        for pid in sorted(live):
-            if pid not in self.outputs and pid != self.mediator_pid:
-                wills[pid] = self.processes[pid].on_deadlock(pid)
-        return RunResult(
-            outputs=dict(self.outputs),
-            halted=set(self.halted),
-            live=live,
-            deadlocked=deadlocked,
-            wills=wills,
-            trace=self.trace,
-            steps=self._step,
-            messages_sent=self.network.total_sent,
-            messages_delivered=self.network.total_delivered,
-            messages_dropped=self.network.total_dropped,
-            env_messages=self._env_sent,
-        )
+                if timing_passive:
+                    pool = network_view()
+                else:
+                    pool = self.timing.eligible(self.network, self._step)
+                if not len(pool):
+                    if self.timing.advance(self):
+                        continue
+                    if faults is not None and self._advance_faults():
+                        continue
+                    break  # quiesced: nothing deliverable, time cannot advance
+
+                uid = choose(pool, self._step)
+                if uid is None:
+                    if not self.scheduler.is_relaxed():
+                        raise SchedulerError(
+                            f"non-relaxed scheduler {self.scheduler.name} "
+                            f"refused to deliver with {len(self.network)} "
+                            f"messages in transit"
+                        )
+                    forced = self._forced_batch_completion(pool)
+                    if forced is None:
+                        stopped_by_scheduler = True
+                        break
+                    uid = forced
+                self._deliver(uid)
+
+            if stopped_by_scheduler:
+                for msg in self.network.in_transit():
+                    if self._trace_on:
+                        self.trace.add(
+                            TraceEvent(
+                                step=self._step,
+                                kind="drop",
+                                pid=msg.recipient,
+                                sender=msg.sender,
+                                recipient=msg.recipient,
+                                uid=msg.uid,
+                            )
+                        )
+                    self.network.drop(msg.uid)
+
+            live = set(self.processes) - self.halted
+            deadlocked = bool(live) and (
+                stopped_by_scheduler or len(self.network) == 0
+            )
+            wills = {}
+            for pid in sorted(live):
+                if pid not in self.outputs and pid != self.mediator_pid:
+                    wills[pid] = self.processes[pid].on_deadlock(pid)
+            return RunResult(
+                outputs=dict(self.outputs),
+                halted=set(self.halted),
+                live=live,
+                deadlocked=deadlocked,
+                wills=wills,
+                trace=self.trace,
+                steps=self._step,
+                messages_sent=self.network.total_sent,
+                messages_delivered=self.network.total_delivered,
+                messages_dropped=self.network.total_dropped,
+                env_messages=self._env_sent,
+            )
+        finally:
+            # A context is lent to a process for one activation and points
+            # back at this runtime; dropping them here leaves the finished
+            # run no reference cycle, so reference counting frees it.
+            self._contexts.clear()
 
     # -- fault application ---------------------------------------------------
 
@@ -538,7 +545,7 @@ class Runtime:
     def _deliver(self, uid: int) -> None:
         network = self.network
         try:
-            msg = network.deliver(uid, self._step)
+            msg = network.deliver(uid)
         except KeyError:
             raise SchedulerError(f"scheduler chose unknown message uid {uid}")
         step = self._step = self._step + 1

@@ -45,6 +45,9 @@ from repro.store.fingerprint import canonical_json, spec_fingerprint
 
 SCHEMA_VERSION = 1
 
+LOCK_WAIT_S = 30.0
+"""How long opening a store waits for a lock another connection holds."""
+
 ENV_STORE = "REPRO_STORE"
 """Environment variable naming the store database path."""
 
@@ -143,18 +146,41 @@ class ResultStore:
             parent = os.path.dirname(os.path.abspath(self.path))
             os.makedirs(parent, exist_ok=True)
         try:
-            self._conn = sqlite3.connect(self.path, timeout=30.0)
+            self._conn = sqlite3.connect(self.path, timeout=LOCK_WAIT_S)
         except sqlite3.Error as exc:
             raise StoreError(f"cannot open store at {self.path}: {exc}") from exc
-        self._conn.execute("PRAGMA journal_mode=WAL")
-        self._conn.execute("PRAGMA synchronous=NORMAL")
-        self._conn.execute("PRAGMA busy_timeout=30000")
-        self._conn.executescript(_SCHEMA)
-        self._check_schema_version()
+        self._prepare(time.monotonic() + LOCK_WAIT_S)
         self.hits = 0
         self.misses = 0
         self.result_hits = 0
         self.result_misses = 0
+
+    def _prepare(self, deadline: float) -> None:
+        """Switch to WAL mode and check the schema, waiting out a lock.
+
+        Two connections preparing one fresh file at once can get
+        "database is locked" from the journal-mode switch without SQLite
+        calling the busy handler, so the connect timeout does not cover
+        it. Every statement here is idempotent; on that error they are
+        all tried again, with backoff, until ``deadline``.
+        """
+        delay = 0.001
+        while True:
+            try:
+                self._conn.execute("PRAGMA journal_mode=WAL")
+                self._conn.execute("PRAGMA synchronous=NORMAL")
+                self._conn.executescript(_SCHEMA)
+                self._check_schema_version()
+                return
+            except sqlite3.OperationalError as exc:
+                if (
+                    "database is locked" not in str(exc)
+                    or time.monotonic() + delay > deadline
+                ):
+                    raise
+            self._conn.rollback()
+            time.sleep(delay)
+            delay = min(2 * delay, 0.1)
 
     def _check_schema_version(self) -> None:
         self._conn.execute(

@@ -212,7 +212,7 @@ class TestSection64Attack:
             assert scanned.choose(list(net.view()), step) == pick
             picks.append(pick)
             if pick is not None:
-                net.deliver(pick, step)
+                net.deliver(pick)
         assert picks == [0, 1, 2, None, None]
 
     def test_registered_attack_and_defense_outcomes(self):

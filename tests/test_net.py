@@ -8,6 +8,9 @@ included); TCP runs to the relaxed form (payoffs and outcome taxonomy
 only).
 """
 
+import gc
+import warnings
+
 import pytest
 
 from repro.errors import ExperimentError, NetError, SimulationError, SpecError
@@ -231,7 +234,7 @@ class TestLatencyScheduler:
         order = []
         while len(network):
             uid = scheduler.choose(network.view(), 0)
-            network.deliver(uid, 0)
+            network.deliver(uid)
             order.append(uid)
         assert order == list(reversed(uids))
 
@@ -344,6 +347,21 @@ class TestNetConformance:
         assert report["ok"], report["diffs"]
         record = report["net"].records[0]
         assert record.ok and record.payoffs == report["sim"].records[0].payoffs
+
+    def test_tcp_cell_closes_every_socket(self):
+        """A TCP cell closes and awaits every stream it opens, both ends
+        of every edge: nothing is left for a finalizer to warn about."""
+        spec = get_scenario("netcheck-tcp").replace(seed_count=1)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            result = ExperimentRunner().run(spec)
+            gc.collect()
+        assert [record.ok for record in result.records] == [True]
+        unclosed = [
+            str(w.message) for w in caught
+            if issubclass(w.category, ResourceWarning)
+        ]
+        assert unclosed == []
 
     def test_conformance_view_projects_order_independent_fields(self):
         record = RunRecord(

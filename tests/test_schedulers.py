@@ -191,9 +191,9 @@ class TestTransitViewFastPaths:
         ]
         for sender, recipient, batch in layout:
             net.send(sender, recipient, "x", 0, batch)
-        net.deliver(1, 1)
+        net.deliver(1)
         net.drop(4)
-        net.deliver(0, 2)
+        net.deliver(0)
         # Hold two messages (a partition cut), send a newer one, then put
         # the held ones back: reinstated uids are older than uid 10.
         held = [net.withdraw(7), net.withdraw(2)]
@@ -223,7 +223,7 @@ class TestTransitViewFastPaths:
                 view_pick = fast.choose(net.view(), step)
                 list_pick = legacy.choose(net.in_transit_views(), step)
                 assert view_pick == list_pick, type(fast).__name__
-                net.deliver(view_pick, step)
+                net.deliver(view_pick)
             assert fast.choose(net.view(), 99) is None
 
     def test_view_is_a_sequence(self):
@@ -290,7 +290,7 @@ class TestIndexedPoolInvariants:
             elif len(net):
                 uid = net.view().nth_uid(a % len(net))
                 if kind == "deliver":
-                    net.deliver(uid, step)
+                    net.deliver(uid)
                 elif kind == "drop":
                     net.drop(uid)
                 else:

@@ -10,6 +10,7 @@ merged view.
 """
 
 import json
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -321,6 +322,47 @@ class TestConcurrentWriters:
             for name in (CHEAP, OTHER):
                 outcome = store.get_or_run(small(name))
                 assert outcome.hit
+
+
+def _open_fresh_stores(directory, rounds, barrier, failures):
+    """Open round ``i``'s fresh store as soon as every opener is ready."""
+    failed = []
+    for index in range(rounds):
+        barrier.wait(timeout=60)
+        try:
+            ResultStore(os.path.join(directory, f"round-{index}.sqlite")).close()
+        except Exception as exc:  # noqa: BLE001 — reported by the test
+            failed.append(f"round {index}: {type(exc).__name__}: {exc}")
+    failures.put(failed)
+
+
+class TestConcurrentOpen:
+    OPENERS = 4
+    ROUNDS = 100
+
+    def test_openers_released_together_all_open_one_fresh_store(
+        self, tmp_path
+    ):
+        """Every round, four processes leave a barrier together and open
+        the same fresh path: each open must wait for the lock, not fail
+        with "database is locked"."""
+        ctx = multiprocessing.get_context("spawn")
+        barrier = ctx.Barrier(self.OPENERS)
+        failures = ctx.Queue()
+        openers = [
+            ctx.Process(
+                target=_open_fresh_stores,
+                args=(str(tmp_path), self.ROUNDS, barrier, failures),
+            )
+            for _ in range(self.OPENERS)
+        ]
+        for opener in openers:
+            opener.start()
+        failed = [line for _ in openers for line in failures.get(timeout=120)]
+        for opener in openers:
+            opener.join(timeout=60)
+            assert not opener.is_alive() and opener.exitcode == 0
+        assert failed == []
 
 
 # -- a writer killed mid-grid -------------------------------------------------

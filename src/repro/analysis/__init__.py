@@ -4,7 +4,6 @@ from repro.analysis import deviations
 from repro.analysis.implementation import (
     ImplementationReport,
     check_implementation,
-    empirical_map,
     implementation_distance,
 )
 from repro.analysis.robustness import (
@@ -14,6 +13,7 @@ from repro.analysis.robustness import (
     check_empirical_robustness,
     scheduler_proofness_spread,
 )
+from repro.games.outcomes import empirical_map
 
 __all__ = [
     "deviations",

@@ -3,7 +3,9 @@
 Mediator-game deviations have signature ``factory(pid, own_type) -> Process``
 (the :class:`~repro.mediator.games.MediatorGame` convention); cheap-talk
 deviations take ``factory(pid, own_type, config) -> Process`` (they may need
-the host config to participate in the protocol while misbehaving).
+the host config to participate in the protocol while misbehaving). Each
+game calls its factories in its own shape, so a profile is built for one
+run mode.
 
 The catalogue covers the behaviours the paper's adversary can combine:
 crashing, lying about inputs, sending corrupted protocol data, stalling
@@ -13,63 +15,12 @@ Section 6.1 covert-channel signalling to the environment via self-messages.
 
 from __future__ import annotations
 
-import inspect
-from typing import Any, Callable, Iterable, Mapping, Optional
+from typing import Any, Callable, Iterable
 
 from repro.cheaptalk.game import CheapTalkPlayer
 from repro.mediator.protocol import HonestMediatorPlayer, mediator_pid
 from repro.mpc.engine import MpcEngine
 from repro.sim.process import Context, Process
-
-
-# ---------------------------------------------------------------------------
-# The uniform factory adapter
-# ---------------------------------------------------------------------------
-
-def _accepts_config(factory: Callable) -> bool:
-    """Does ``factory`` expect the cheap-talk ``(pid, own_type, config)``?"""
-    try:
-        sig = inspect.signature(factory)
-    except (TypeError, ValueError):  # builtins / C callables: assume modern
-        return True
-    positional = 0
-    for param in sig.parameters.values():
-        if param.kind == param.VAR_POSITIONAL:
-            return True
-        if param.kind in (param.POSITIONAL_ONLY, param.POSITIONAL_OR_KEYWORD):
-            positional += 1
-    return positional >= 3
-
-
-class UniformDeviation:
-    """One call shape over the two deviation-factory arities.
-
-    Mediator-game factories take ``(pid, own_type)``; cheap-talk factories
-    take ``(pid, own_type, config)``. Wrapping either in this adapter yields
-    a callable that accepts *both* shapes — ``config`` defaults to ``None``
-    and is forwarded only when the underlying factory wants it — so the
-    audit strategy space (and anything else composing deviations across run
-    modes) can treat every factory identically. Raw factories keep working
-    everywhere they did before; the adapter is purely additive.
-    """
-
-    __slots__ = ("factory", "_takes_config")
-
-    def __init__(self, factory: Callable) -> None:
-        if isinstance(factory, UniformDeviation):
-            factory = factory.factory
-        self.factory = factory
-        self._takes_config = _accepts_config(factory)
-
-    def __call__(self, pid: int, own_type: Any, config: Any = None):
-        if self._takes_config:
-            return self.factory(pid, own_type, config)
-        return self.factory(pid, own_type)
-
-
-def unify_profile(profile: Mapping[int, Callable]) -> dict[int, UniformDeviation]:
-    """Wrap every factory of a ``{pid: factory}`` profile in the adapter."""
-    return {pid: UniformDeviation(factory) for pid, factory in profile.items()}
 
 
 # ---------------------------------------------------------------------------

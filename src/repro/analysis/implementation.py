@@ -9,9 +9,13 @@ reading over the family) and per-environment (a stricter diagnostic).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
-from repro.games.outcomes import outcome_map_distance
+from repro.games.outcomes import (
+    empirical_map,
+    outcome_map_distance,
+    sampling_tolerance,
+)
 from repro.sim import Scheduler
 
 
@@ -21,23 +25,11 @@ class ImplementationReport:
     distance: float
     tolerance: float
     holds: bool
-    per_scheduler: dict = field(default_factory=dict)
+    per_scheduler: list = field(default_factory=list)
+    """``(scheduler name, distance)`` per environment, in the order given."""
 
     def __bool__(self) -> bool:
         return self.holds
-
-
-def empirical_map(samples: Mapping[tuple, Sequence[tuple]]) -> dict:
-    """Samples ({types: [action profiles]}) -> empirical outcome map."""
-    out = {}
-    for types, rows in samples.items():
-        dist: dict[tuple, float] = {}
-        weight = 1.0 / len(rows)
-        for row in rows:
-            key = tuple(row)
-            dist[key] = dist.get(key, 0.0) + weight
-        out[tuple(types)] = dist
-    return out
 
 
 def implementation_distance(
@@ -73,8 +65,9 @@ def check_implementation(
 
     ``epsilon = 0`` checks plain implementation (distance within sampling
     tolerance); ``epsilon > 0`` allows the extra ε. Per-scheduler distances
-    are also recorded: under a (k,t)-robust profile they should coincide
-    (scheduler-proofness makes every environment induce the same map).
+    are also recorded, one per environment given (names may repeat):
+    under a (k,t)-robust profile they should coincide (scheduler-proofness
+    makes every environment induce the same map).
     """
     from repro.sim import scheduler_zoo
 
@@ -86,14 +79,14 @@ def check_implementation(
         cheap_talk_game, mediator_game, schedulers,
         samples_per_scheduler, type_profiles, seed,
     )
-    per_scheduler = {}
-    for scheduler in schedulers:
-        per_scheduler[scheduler.name] = implementation_distance(
+    per_scheduler = [
+        (scheduler.name, implementation_distance(
             cheap_talk_game, mediator_game, [scheduler],
             samples_per_scheduler, type_profiles, seed,
-        )
-    total_samples = samples_per_scheduler * len(schedulers)
-    tolerance = 3.0 * (4.0 / max(total_samples, 1)) ** 0.5
+        ))
+        for scheduler in schedulers
+    ]
+    tolerance = sampling_tolerance(samples_per_scheduler * len(schedulers))
     holds = pooled <= epsilon + tolerance
     return ImplementationReport(
         epsilon=epsilon,

@@ -136,19 +136,22 @@ def scheduler_proofness_spread(
 ) -> dict:
     """Corollary 6.3: per-player utility spread across environments.
 
-    Returns {"per_scheduler": {name: utilities}, "spread": max_i spread_i}.
-    A (k,t)-robust profile must have spread ~ sampling noise; a profile
-    whose payoff the environment can influence will show a real gap.
+    Returns {"per_scheduler": [(name, utilities), ...], "spread": max_i
+    spread_i}, with one entry per environment given, in order (several
+    environments may share a name). A (k,t)-robust profile must have
+    spread ~ sampling noise; a profile whose payoff the environment can
+    influence will show a real gap.
     """
-    per_scheduler: dict[str, tuple[float, ...]] = {}
-    for scheduler in schedulers:
-        per_scheduler[scheduler.name] = average_utilities(
+    per_scheduler = [
+        (scheduler.name, average_utilities(
             game, [scheduler], samples_per_scheduler,
             deviations=deviations, seed=seed,
-        )
+        ))
+        for scheduler in schedulers
+    ]
     n = game.spec.game.n
     spread = 0.0
     for i in range(n):
-        values = [u[i] for u in per_scheduler.values()]
+        values = [u[i] for _, u in per_scheduler]
         spread = max(spread, max(values) - min(values))
     return {"per_scheduler": per_scheduler, "spread": spread}

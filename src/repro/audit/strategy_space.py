@@ -152,13 +152,11 @@ class CandidateDeviation:
     # -- factory materialization --------------------------------------------
 
     def build(self, game_spec, mode: str) -> dict:
-        """Resolve into ``{pid: UniformDeviation}`` for a concrete run."""
-        from repro.analysis.deviations import unify_profile
-
-        profile = {}
-        for pid, atom in self.atoms:
-            profile[pid] = _build_atom(atom, game_spec, mode, pid)
-        return unify_profile(profile)
+        """Resolve into ``{pid: factory}`` for a ``mode`` run."""
+        return {
+            pid: _build_atom(atom, game_spec, mode, pid)
+            for pid, atom in self.atoms
+        }
 
 
 def candidate_from_name(name: str) -> CandidateDeviation:

@@ -25,6 +25,13 @@ def output_label(pid: int) -> str:
     return f"act@{pid}"
 
 
+def default_inputs(spec: GameSpec) -> dict[int, int]:
+    """The encoded input that stands in for each player whose own input
+    never arrives: its type in the type space's first profile."""
+    first = spec.game.type_space.profiles()[0]
+    return {pid: spec.encode_type(first[pid]) for pid in range(spec.game.n)}
+
+
 def _coin_circuit(spec: GameSpec, field: GF) -> Circuit:
     """Common random bit to everyone (consensus / section64 mediators)."""
     n = spec.game.n

@@ -8,26 +8,39 @@ move, and *keeps serving* protocol messages afterwards (the paper's
 observation that a player who has moved may still need to answer messages
 so that others can move).
 
-Deadlock semantics mirror the mediator game: players that never move get
-their AH will (if any) or the game's default move.
+Players that never move get their AH will (if any) or the game's default
+move, by the same :func:`~repro.mediator.games.resolve_actions` as the
+mediator game.
 """
 
 from __future__ import annotations
 
+import random
 from typing import Any, Callable, Mapping, Optional, Sequence
 
 from repro.broadcast.base import SessionHost
-from repro.cheaptalk.circuits import mediator_circuit_for, output_label
+from repro.cheaptalk.circuits import (
+    default_inputs,
+    mediator_circuit_for,
+    output_label,
+)
 from repro.circuits import Circuit
-from repro.errors import CompilationError, GameError
+from repro.errors import CompilationError
 from repro.field import GF, DEFAULT_PRIME
 from repro.games.library import GameSpec
-from repro.mediator.games import MediatorRun, run_engine
+from repro.mediator.games import (
+    ExtensionGame,
+    MediatorRun,
+    resolve_actions,
+    run_engine,
+)
 from repro.mpc import TrustedSetup, mpc_sid
 from repro.sim import Scheduler, TimingModel
-from repro.sim.runtime import RunResult
 
 ENGINE_SID = mpc_sid("cheap-talk")
+
+Will = Callable[[int, Any, random.Random], Any]
+"""(pid, own_type, private rng) -> the move to make if the run deadlocks."""
 
 
 class CheapTalkPlayer(SessionHost):
@@ -39,7 +52,7 @@ class CheapTalkPlayer(SessionHost):
         pid: int,
         own_type: Any,
         config: dict,
-        will: Optional[Callable[[int, Any], Any]] = None,
+        will: Optional[Will] = None,
     ) -> None:
         self.spec = spec
         self.own_type = own_type
@@ -76,8 +89,6 @@ class CheapTalkPlayer(SessionHost):
         Seeded from this player's *private* setup shares, so other players
         (and the environment) cannot predict a randomized punishment move.
         """
-        import random
-
         from repro.utils.rng import derive_seed
 
         pack = self.config.get("setup")
@@ -91,14 +102,13 @@ class CheapTalkPlayer(SessionHost):
     def on_deadlock(self, pid: int) -> Optional[Any]:
         if self.will is None:
             return None
-        try:
-            return self.will(pid, self.own_type, self._will_rng())
-        except TypeError:
-            return self.will(pid, self.own_type)
+        return self.will(pid, self.own_type, self._will_rng())
 
 
-class CheapTalkGame:
+class CheapTalkGame(ExtensionGame):
     """Γ_CT: the cheap-talk extension of an underlying game."""
+
+    SEED_STRIDE = 104729
 
     def __init__(
         self,
@@ -108,20 +118,15 @@ class CheapTalkGame:
         mode: str = "bcg",
         approach: str = "default",
         field: Optional[GF] = None,
-        will: Optional[Callable[[int, Any], Any]] = None,
+        will: Optional[Will] = None,
         circuit: Optional[Circuit] = None,
         enforce_engine_bounds: bool = True,
     ) -> None:
-        if approach not in ("default", "ah"):
-            raise GameError(f"unknown deadlock approach {approach!r}")
-        self.spec = spec
-        self.k = k
-        self.t = t
+        super().__init__(spec, k, t, approach, will)
         self.mode = mode
-        self.approach = approach
         self.field = field or GF(DEFAULT_PRIME)
-        self.will = will
         self.circuit = circuit or mediator_circuit_for(spec, self.field)
+        self.default_inputs = default_inputs(spec)
         self.enforce_engine_bounds = enforce_engine_bounds
         self.fault_budget = k + t
         n = spec.game.n
@@ -135,10 +140,6 @@ class CheapTalkGame:
                 raise CompilationError(
                     f"bkr cheap talk needs n > 3(k+t) (n={n}, k+t={self.fault_budget})"
                 )
-
-    @property
-    def n(self) -> int:
-        return self.spec.game.n
 
     # -- assembly -----------------------------------------------------------------
 
@@ -155,12 +156,7 @@ class CheapTalkGame:
             "circuit": self.circuit,
             "engine_mode": self.mode,
             "mpc_input": self.spec.encode_type(own_type),
-            "default_inputs": {
-                p: self.spec.encode_type(
-                    self.spec.game.type_space.profiles()[0][p]
-                )
-                for p in range(self.n)
-            },
+            "default_inputs": dict(self.default_inputs),
         }
         config.update(setup.host_config(pid))
         return config
@@ -214,47 +210,5 @@ class CheapTalkGame:
             record_trace=record_trace,
             faults=faults,
         )
-        actions = self.resolve_actions(types, result)
+        actions = resolve_actions(self.spec, self.approach, types, result)
         return MediatorRun(actions=actions, result=result, types=types)
-
-    def resolve_actions(self, types: tuple, result: RunResult) -> tuple:
-        actions = []
-        for pid in range(self.n):
-            if pid in result.outputs:
-                actions.append(result.outputs[pid])
-                continue
-            move = None
-            if self.approach == "ah":
-                move = result.wills.get(pid)
-            if move is None and self.spec.default_moves is not None:
-                move = self.spec.default_moves(pid, types[pid])
-            actions.append(move)
-        return tuple(actions)
-
-    def sample_outcomes(
-        self,
-        schedulers: Sequence[Scheduler],
-        samples_per_scheduler: int = 8,
-        type_profiles: Optional[Sequence[tuple]] = None,
-        deviations: Optional[Mapping[int, Callable]] = None,
-        seed: int = 0,
-    ) -> dict[tuple, list[tuple]]:
-        profiles = (
-            list(type_profiles)
-            if type_profiles is not None
-            else self.spec.game.type_space.profiles()
-        )
-        out: dict[tuple, list[tuple]] = {}
-        for types in profiles:
-            rows: list[tuple] = []
-            for s_idx, scheduler in enumerate(schedulers):
-                for rep in range(samples_per_scheduler):
-                    run = self.run(
-                        types,
-                        scheduler,
-                        seed=seed + 104729 * s_idx + rep,
-                        deviations=deviations,
-                    )
-                    rows.append(run.actions)
-            out[tuple(types)] = rows
-        return out

@@ -15,7 +15,11 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
 
 from repro.cheaptalk.game import CheapTalkGame
-from repro.games.outcomes import outcome_map_distance
+from repro.games.outcomes import (
+    empirical_map,
+    outcome_map_distance,
+    sampling_tolerance,
+)
 from repro.mediator.games import MediatorGame
 from repro.sim import Scheduler
 
@@ -62,23 +66,6 @@ def check_cotermination(
     return report
 
 
-def _paired_distance(
-    ct_samples: Mapping[tuple, Sequence[tuple]],
-    med_samples: Mapping[tuple, Sequence[tuple]],
-) -> float:
-    def to_map(samples):
-        out = {}
-        for types, rows in samples.items():
-            dist: dict[tuple, float] = {}
-            w = 1.0 / len(rows)
-            for row in rows:
-                dist[tuple(row)] = dist.get(tuple(row), 0.0) + w
-            out[types] = dist
-        return out
-
-    return outcome_map_distance(to_map(ct_samples), to_map(med_samples))
-
-
 def check_emulation(
     ct_game: CheapTalkGame,
     mediator_game: MediatorGame,
@@ -96,7 +83,7 @@ def check_emulation(
     the outcome maps must be within ε (plus sampling tolerance).
     """
     report = PropertyReport(name=f"({epsilon},t)-emulation", holds=True)
-    tolerance = _sampling_tolerance(samples_per_scheduler * len(schedulers))
+    tolerance = sampling_tolerance(samples_per_scheduler * len(schedulers))
     for idx, (ct_dev, med_dev) in enumerate(adversary_pairs):
         ct_samples = ct_game.sample_outcomes(
             schedulers, samples_per_scheduler, deviations=ct_dev, seed=seed
@@ -104,7 +91,9 @@ def check_emulation(
         med_samples = mediator_game.sample_outcomes(
             schedulers, samples_per_scheduler, deviations=med_dev, seed=seed + 1
         )
-        distance = _paired_distance(ct_samples, med_samples)
+        distance = outcome_map_distance(
+            empirical_map(ct_samples), empirical_map(med_samples)
+        )
         report.worst = max(report.worst, distance)
         if distance > epsilon + tolerance:
             report.holds = False
@@ -148,12 +137,3 @@ def check_bisimulation(
     )
     return report
 
-
-def _sampling_tolerance(samples: int) -> float:
-    """L1 sampling noise allowance for empirical distribution comparison.
-
-    Two empirical distributions of m samples each over a small outcome
-    space differ by O(sqrt(k/m)) in L1; we allow 3 standard errors over a
-    nominal k=4 outcome support.
-    """
-    return 3.0 * (4.0 / max(samples, 1)) ** 0.5

@@ -18,11 +18,16 @@ from __future__ import annotations
 
 from typing import Any, Mapping, Optional, Sequence
 
-from repro.cheaptalk.circuits import mediator_circuit_for, output_label
+from repro.cheaptalk.circuits import (
+    default_inputs,
+    mediator_circuit_for,
+    output_label,
+)
 from repro.circuits import Circuit
 from repro.errors import CompilationError
 from repro.field import GF, DEFAULT_PRIME
 from repro.games.library import GameSpec
+from repro.mediator.games import resolve_actions
 from repro.mpc import TrustedSetup
 from repro.mpc.bgw import BgwParty
 from repro.sim.sync import SyncProcess, SyncRuntime
@@ -64,6 +69,7 @@ class SynchronousCheapTalk:
         self.t = t
         self.field = field or GF(DEFAULT_PRIME)
         self.circuit = circuit or mediator_circuit_for(spec, self.field)
+        self.default_inputs = default_inputs(spec)
         self.fault_budget = k + t
 
     @property
@@ -83,10 +89,6 @@ class SynchronousCheapTalk:
             with_macs=False,
         )
         setup.deal_for_circuit(self.circuit)
-        defaults = {
-            p: self.spec.encode_type(self.spec.game.type_space.profiles()[0][p])
-            for p in range(self.n)
-        }
         processes: dict[int, SyncProcess] = {}
         for pid in range(self.n):
             if pid in crashed:
@@ -101,20 +103,12 @@ class SynchronousCheapTalk:
                 self.circuit,
                 setup.pack_for(pid),
                 self.spec.encode_type(types[pid]),
-                dict(defaults),
+                # BgwParty fills in missing inputs in its own copy.
+                dict(self.default_inputs),
             )
         runtime = SyncRuntime(processes, seed=seed)
         result = runtime.run()
-        actions = tuple(
-            result.outputs.get(
-                pid,
-                self.spec.default_moves(pid, types[pid])
-                if self.spec.default_moves
-                else None,
-            )
-            for pid in range(self.n)
-        )
-        return actions, result
+        return resolve_actions(self.spec, "default", types, result), result
 
 
 class _SyncCrash(SyncProcess):

@@ -5,10 +5,8 @@ concrete per-player deviation factories of
 :mod:`repro.analysis.deviations`. Factories have different arities in the
 two run modes — mediator-game deviations take ``(pid, own_type)``,
 cheap-talk deviations take ``(pid, own_type, config)`` — so every profile
-declares which modes it supports and the runner resolves the mode from the
-scenario's theorem. Resolved profiles are wrapped in
-:class:`~repro.analysis.deviations.UniformDeviation`, giving every factory
-one call shape regardless of its native arity.
+declares which modes it supports, the runner resolves the mode from the
+scenario's theorem, and a builder returns the factories of that mode.
 
 Besides registered names, ``audit:{…}`` names are accepted: they carry a
 serialized :class:`~repro.audit.strategy_space.CandidateDeviation` and are
@@ -75,13 +73,7 @@ def deviations_for_mode(mode: str) -> list[str]:
 
 
 def deviation_profile(name: str, spec: GameSpec, k: int, t: int, mode: str) -> dict:
-    """Resolve profile ``name`` into ``{pid: factory}`` for ``mode``.
-
-    Every factory is wrapped in the uniform-arity adapter, so the returned
-    profile works unchanged in both the mediator and cheap-talk run paths.
-    """
-    from repro.analysis.deviations import unify_profile
-
+    """Resolve profile ``name`` into ``{pid: factory}`` for ``mode``."""
     if name.startswith("audit:"):
         from repro.audit.strategy_space import candidate_from_name
 
@@ -102,7 +94,7 @@ def deviation_profile(name: str, spec: GameSpec, k: int, t: int, mode: str) -> d
             f"deviation profile {name!r} is not available for "
             f"{mode!r} runs (supports: {', '.join(sorted(modes))})"
         )
-    return unify_profile(builder(spec, k, t, mode))
+    return builder(spec, k, t, mode)
 
 
 @register_deviation("honest", ("cheaptalk", "mediator", "none"))

@@ -103,12 +103,12 @@ class CrashFault(FaultAction):
     """Kill ``pid`` at delivery step ``step``; optionally restart later.
 
     Without ``restart`` the crash is permanent — the process halts, its
-    pending inbound messages are discarded, and :func:`resolve_actions`
-    hands it the game's default move, exactly like the fail-stop
-    deviations. With ``restart`` the process is replaced by a pristine
-    copy at step ``restart`` and its logged inbox (start signal included)
-    is replayed with outbound sends suppressed — the crash-recovery model
-    with a stable message log.
+    pending inbound messages are discarded, and
+    :func:`~repro.mediator.games.resolve_actions` hands it the game's
+    default move, exactly like the fail-stop deviations. With ``restart``
+    the process is replaced by a pristine copy at step ``restart`` and its
+    logged inbox (start signal included) is replayed with outbound sends
+    suppressed — the crash-recovery model with a stable message log.
     """
 
     kind = "crash"

@@ -97,14 +97,15 @@ def conditional_expected_utility(
     return total
 
 
-def empirical_outcome_map(
-    game: BayesianGame,
+def empirical_map(
     samples: Mapping[TypeProfile, Sequence[tuple]],
 ) -> OutcomeMap:
     """Estimate an outcome map from sampled action profiles per type profile.
 
-    Used by the asynchronous layers, where outcome distributions come from
-    simulation runs rather than closed-form products.
+    ``samples`` is ``{types: [action profiles]}``, the shape an extension
+    game's ``sample_outcomes`` returns: the asynchronous layers get their
+    outcome distributions from simulation runs rather than closed-form
+    products.
     """
     result: OutcomeMap = {}
     for types, action_list in samples.items():
@@ -115,8 +116,18 @@ def empirical_outcome_map(
         for actions in action_list:
             key = tuple(actions)
             dist[key] = dist.get(key, 0.0) + weight
-        result[types] = dist
+        result[tuple(types)] = dist
     return result
+
+
+def sampling_tolerance(samples: int) -> float:
+    """L1 sampling-noise allowance when comparing two empirical outcome maps.
+
+    Two empirical distributions of m samples each over a small outcome
+    space differ by O(sqrt(k/m)) in L1; we allow 3 standard errors over a
+    nominal k=4 outcome support.
+    """
+    return 3.0 * (4.0 / max(samples, 1)) ** 0.5
 
 
 def empirical_utilities(

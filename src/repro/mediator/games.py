@@ -1,10 +1,15 @@
-"""Running mediator games under schedulers and collecting outcomes.
+"""Running extension games under schedulers and collecting outcomes.
 
 A :class:`MediatorGame` bundles a :class:`~repro.games.library.GameSpec`
 with the canonical mediator and honest-player processes, runs them under
-arbitrary environment strategies (including relaxed ones), applies the
-deadlock semantics — AH wills or default moves — and reduces each run to an
-action profile of the underlying game.
+arbitrary environment strategies (including relaxed ones), and reduces
+each run to an action profile of the underlying game.
+
+What the mediator game Γ_d shares with the cheap-talk game Γ_CT and the
+synchronous R1 baseline lives here too: :func:`run_engine` runs a game's
+processes, :func:`resolve_actions` gives every player whose run ended
+without a move its AH will or the game's default move, and
+:class:`ExtensionGame` samples a game's outcomes over environments.
 """
 
 from __future__ import annotations
@@ -58,9 +63,34 @@ def run_engine(
             process.release()
 
 
+def resolve_actions(
+    spec: GameSpec, approach: str, types: tuple, result
+) -> tuple:
+    """The action profile a run ends with: the one deadlock rule.
+
+    Players that moved keep their move. For players that did not: under
+    the AH approach their will (if any) is executed; otherwise — and
+    always under the default-move approach — the game's default move
+    applies (``None`` when the spec has none). ``result`` is a kernel
+    :class:`~repro.sim.runtime.RunResult` or a lock-step
+    :class:`~repro.sim.sync.SyncRunResult`; both carry ``outputs`` and
+    ``wills``.
+    """
+    actions = []
+    for pid in range(spec.game.n):
+        if pid in result.outputs:
+            actions.append(result.outputs[pid])
+            continue
+        move = result.wills.get(pid) if approach == "ah" else None
+        if move is None and spec.default_moves is not None:
+            move = spec.default_moves(pid, types[pid])
+        actions.append(move)
+    return tuple(actions)
+
+
 @dataclass
 class MediatorRun:
-    """One mediator-game run reduced to underlying-game terms."""
+    """One extension-game run reduced to underlying-game terms."""
 
     actions: tuple
     result: RunResult
@@ -70,8 +100,71 @@ class MediatorRun:
         return self.result.trace.message_count()
 
 
-class MediatorGame:
+class ExtensionGame:
+    """What Γ_d and Γ_CT share: a spec, a deadlock approach, and sampling.
+
+    A subclass defines ``run(types, scheduler, seed=..., deviations=...)``
+    in its own class body (``perfbench/tracing.py`` wraps each game's
+    ``run`` through the class ``__dict__``) and ``SEED_STRIDE``, the seed
+    offset between environments in :meth:`sample_outcomes`.
+    """
+
+    SEED_STRIDE: int
+
+    def __init__(
+        self,
+        spec: GameSpec,
+        k: int,
+        t: int,
+        approach: str,
+        will: Optional[Callable],
+    ) -> None:
+        if approach not in ("default", "ah"):
+            raise GameError(f"unknown deadlock approach {approach!r}")
+        self.spec = spec
+        self.k = k
+        self.t = t
+        self.approach = approach
+        self.will = will
+
+    @property
+    def n(self) -> int:
+        return self.spec.game.n
+
+    def sample_outcomes(
+        self,
+        schedulers: Sequence[Scheduler],
+        samples_per_scheduler: int = 8,
+        type_profiles: Optional[Sequence[tuple]] = None,
+        deviations: Optional[Mapping[int, Callable]] = None,
+        seed: int = 0,
+    ) -> dict[tuple, list[tuple]]:
+        """Monte-Carlo outcome samples: {type profile: [action profiles]}."""
+        profiles = (
+            list(type_profiles)
+            if type_profiles is not None
+            else self.spec.game.type_space.profiles()
+        )
+        out: dict[tuple, list[tuple]] = {}
+        for types in profiles:
+            rows: list[tuple] = []
+            for s_idx, scheduler in enumerate(schedulers):
+                for rep in range(samples_per_scheduler):
+                    run = self.run(
+                        types,
+                        scheduler,
+                        seed=seed + self.SEED_STRIDE * s_idx + rep,
+                        deviations=deviations,
+                    )
+                    rows.append(run.actions)
+            out[tuple(types)] = rows
+        return out
+
+
+class MediatorGame(ExtensionGame):
     """The asynchronous mediator game Γ_d extending an underlying game Γ."""
+
+    SEED_STRIDE = 7919
 
     def __init__(
         self,
@@ -83,23 +176,13 @@ class MediatorGame:
         will: Optional[Callable[[int, Any], Any]] = None,
         mediator_factory: Optional[Callable[[], Any]] = None,
     ) -> None:
-        if approach not in ("default", "ah"):
-            raise GameError(f"unknown deadlock approach {approach!r}")
+        super().__init__(spec, k, t, approach, will)
         if approach == "default" and spec.default_moves is None:
             raise GameError("default-move approach needs spec.default_moves")
-        self.spec = spec
-        self.k = k
-        self.t = t
-        self.approach = approach
         self.rounds = rounds
-        self.will = will
         self.mediator_factory = mediator_factory or (
             lambda: FnMediator(spec, k, t, rounds=rounds)
         )
-
-    @property
-    def n(self) -> int:
-        return self.spec.game.n
 
     @property
     def mediator(self) -> int:
@@ -155,55 +238,5 @@ class MediatorGame:
             record_trace=record_trace,
             faults=faults,
         )
-        actions = self.resolve_actions(types, result)
+        actions = resolve_actions(self.spec, self.approach, types, result)
         return MediatorRun(actions=actions, result=result, types=types)
-
-    def resolve_actions(self, types: tuple, result: RunResult) -> tuple:
-        """Apply the deadlock semantics to produce a full action profile.
-
-        Players that moved keep their move. For players that did not: under
-        the AH approach their will (if any) is executed; otherwise — and
-        always under the default-move approach — the game's default move
-        applies.
-        """
-        actions = []
-        for pid in range(self.n):
-            if pid in result.outputs:
-                actions.append(result.outputs[pid])
-                continue
-            move = None
-            if self.approach == "ah":
-                move = result.wills.get(pid)
-            if move is None and self.spec.default_moves is not None:
-                move = self.spec.default_moves(pid, types[pid])
-            actions.append(move)
-        return tuple(actions)
-
-    def sample_outcomes(
-        self,
-        schedulers: Sequence[Scheduler],
-        samples_per_scheduler: int = 8,
-        type_profiles: Optional[Sequence[tuple]] = None,
-        deviations: Optional[Mapping[int, DeviationFactory]] = None,
-        seed: int = 0,
-    ) -> dict[tuple, list[tuple]]:
-        """Monte-Carlo outcome samples: {type profile: [action profiles]}."""
-        profiles = (
-            list(type_profiles)
-            if type_profiles is not None
-            else self.spec.game.type_space.profiles()
-        )
-        out: dict[tuple, list[tuple]] = {}
-        for types in profiles:
-            rows: list[tuple] = []
-            for s_idx, scheduler in enumerate(schedulers):
-                for rep in range(samples_per_scheduler):
-                    run = self.run(
-                        types,
-                        scheduler,
-                        seed=seed + 7919 * s_idx + rep,
-                        deviations=deviations,
-                    )
-                    rows.append(run.actions)
-            out[tuple(types)] = rows
-        return out

@@ -81,6 +81,32 @@ class TestMediatorDeviations:
         assert run.actions[3] == 0  # default move
 
 
+class TestPerEnvironmentResults:
+    """Environments that share a name are each reported and counted."""
+
+    def test_spread_counts_every_environment(self):
+        game = MediatorGame(consensus_game(3), 1, 0)
+        result = scheduler_proofness_spread(
+            game, [RandomScheduler(1), RandomScheduler(2)],
+            samples_per_scheduler=2,
+        )
+        assert len(result["per_scheduler"]) == 2
+        assert [name for name, _ in result["per_scheduler"]] == [
+            "random", "random"
+        ]
+
+    def test_implementation_reports_every_environment(self):
+        game = MediatorGame(consensus_game(3), 1, 0)
+        report = check_implementation(
+            game, game, schedulers=[RandomScheduler(1), RandomScheduler(2)],
+            samples_per_scheduler=2,
+        )
+        assert len(report.per_scheduler) == 2
+        assert [name for name, _ in report.per_scheduler] == [
+            "random", "random"
+        ]
+
+
 @pytest.mark.slow
 class TestEmpiricalRobustness:
     def test_consensus_cheap_talk_catalogue_passes(self):

@@ -172,23 +172,46 @@ class TestAuditDeviationNames:
                 candidate.name, make_game("section64", 7), 1, 0, "mediator"
             )
 
-    def test_uniform_adapter_wraps_both_arities(self):
-        from repro.analysis.deviations import (
-            UniformDeviation,
-            crash,
-            ct_crash,
-            unify_profile,
-        )
+    def test_every_factory_builds_through_its_modes_game(self):
+        """Each game calls deviation factories in its own shape — Γ_d as
+        ``(pid, own_type)``, Γ_CT as ``(pid, own_type, config)`` — so every
+        registered profile and every atom kind must build its players
+        through the game of each mode it declares."""
+        from repro.audit.strategy_space import ATOM_MODES
+        from repro.cheaptalk import CheapTalkGame
+        from repro.experiments import deviation_modes, deviation_names
+        from repro.mediator import MediatorGame
+        from repro.sim.process import Process
 
-        two_arity = UniformDeviation(crash())
-        three_arity = UniformDeviation(ct_crash())
-        # Both shapes accept both call conventions.
-        for factory in (two_arity, three_arity):
-            assert factory(0, 0) is not None
-            assert factory(0, 0, {"cfg": 1}) is not None
-        # Idempotent wrapping; dict helper covers whole profiles.
-        assert UniformDeviation(two_arity).factory is two_arity.factory
-        assert set(unify_profile({1: crash(), 2: ct_crash()})) == {1, 2}
+        spec = make_game("byz-agreement", 9)  # two types: misreport applies
+        games = {
+            "mediator": MediatorGame(spec, 1, 1),
+            "cheaptalk": CheapTalkGame(spec, 1, 1),
+        }
+        types = spec.game.type_space.profiles()[0]
+
+        def build(mode, name):
+            profile = deviation_profile(name, spec, 1, 1, mode)
+            game = games[mode]
+            if mode == "mediator":
+                procs = game.processes(types, profile)
+            else:
+                procs = game.processes(types, game.build_setup(0), profile)
+            assert all(isinstance(procs[pid], Process) for pid in profile)
+
+        for name in deviation_names():
+            for mode in deviation_modes(name):
+                if mode == "none":  # r1 and raw-game runs take no deviations
+                    assert deviation_profile(name, spec, 1, 1, mode) == {}
+                else:
+                    build(mode, name)
+        coalitions = [Coalition(rational=(0, 1))]
+        for kind, modes in ATOM_MODES.items():
+            for mode in sorted(modes):
+                space = StrategySpace(spec, mode, coalitions, atoms=(kind,))
+                assert space.size(), (kind, mode)
+                for candidate in space.candidates():
+                    build(mode, candidate.name)
 
     def test_registered_profiles_still_resolve(self):
         spec = make_game("consensus", 9)

@@ -439,6 +439,41 @@ class TestMessageComplexity:
         assert len(set(run.actions)) == 1
 
 
+class TestWillsAndDefaultInputs:
+    def test_will_raising_type_error_surfaces_its_own_message(self):
+        def will(pid, own_type, rng):
+            raise TypeError("boom")
+
+        game = CheapTalkGame(consensus_game(5), 1, 0, will=will)
+        player = game.processes((0,) * 5, game.build_setup(0))[0]
+        with pytest.raises(TypeError, match="boom"):
+            player.on_deadlock(0)
+
+    def test_first_type_profile_looked_up_once_per_game(self, monkeypatch):
+        """Default MPC inputs depend on the spec only: building the game
+        reads the type space once, and its runs read it no more."""
+        from repro.cheaptalk.sync import SynchronousCheapTalk
+        from repro.games.bayesian import TypeSpace
+
+        spec = byzantine_agreement_game(9)  # 512 type profiles
+        circuit = mediator_circuit_for(spec, F)
+        types = (1,) * 9
+        calls = []
+        profiles = TypeSpace.profiles
+        monkeypatch.setattr(
+            TypeSpace, "profiles",
+            lambda space: calls.append(space) or profiles(space),
+        )
+        game = CheapTalkGame(spec, 1, 1, circuit=circuit)
+        game.processes(types, game.build_setup(0))
+        game.processes(types, game.build_setup(1))
+        assert len(calls) == 1
+        r1 = SynchronousCheapTalk(spec, 1, 1, circuit=circuit)
+        actions, _ = r1.run(types)
+        assert len(calls) == 2
+        assert actions == (1,) * 9
+
+
 class TestDefaultMoveVsAH:
     def test_default_move_approach_on_41(self):
         proto = compile_theorem41(

@@ -20,7 +20,7 @@ from repro.games import (
     outcome_map_distance,
     statistical_distance,
 )
-from repro.games.outcomes import empirical_outcome_map, empirical_utilities
+from repro.games.outcomes import empirical_map, empirical_utilities
 from repro.games.strategies import JointDeviation, joint_action_distribution
 
 
@@ -240,12 +240,12 @@ class TestOutcomes:
     def test_empirical_outcome_map(self):
         game = pd_game()
         samples = {(0, 0): [("C", "C"), ("C", "C"), ("D", "D"), ("D", "D")]}
-        m = empirical_outcome_map(game, samples)
+        m = empirical_map(samples)
         assert m[(0, 0)][("C", "C")] == pytest.approx(0.5)
 
     def test_empirical_outcome_map_empty_rejected(self):
         with pytest.raises(GameError):
-            empirical_outcome_map(pd_game(), {(0, 0): []})
+            empirical_map({(0, 0): []})
 
     def test_empirical_utilities(self):
         game = pd_game()

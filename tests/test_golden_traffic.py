@@ -62,6 +62,11 @@ def _golden_specs() -> dict:
             faults=faultcheck.faults, seed_count=1, record_payloads=True
         ),
         "netcheck-sec64-memory": get_scenario("netcheck-sec64"),
+        # The lock-step R1 baseline, and the ideal mediator under fifo,
+        # random and laggard-first: both reach their action profiles
+        # through the deadlock resolution the cheap-talk game uses.
+        "r1-baseline": get_scenario("r1-baseline"),
+        "mediator-honest": get_scenario("mediator-honest"),
     }
 
 

@@ -20,6 +20,7 @@ from repro.mediator import (
     check_ideal_mediator_robustness,
     minimally_informative,
 )
+from repro.mediator.games import MediatorRun
 from repro.mediator.ideal import (
     check_ideal_k_resilience,
     check_ideal_t_immunity,
@@ -187,6 +188,22 @@ class TestOutcomeSampling:
         rows = samples[(0, 0, 0, 0)]
         assert len(rows) == 3 * len(scheduler_zoo(seed=0, parties=range(4)))
         assert all(len(set(r)) == 1 for r in rows)
+
+    def test_sample_seeds_keep_each_games_stride(self):
+        """Both games sample through one method, each with its own seed
+        stride between environments."""
+        from repro.cheaptalk import CheapTalkGame
+
+        for game, stride in (
+            (MediatorGame(consensus_game(4), 1, 0), 7919),
+            (CheapTalkGame(consensus_game(5), 1, 0), 104729),
+        ):
+            seeds = []
+            game.run = lambda types, scheduler, seed, deviations: (
+                seeds.append(seed) or MediatorRun((), None, types)
+            )
+            game.sample_outcomes([FifoScheduler()] * 2, 2, seed=5)
+            assert seeds == [5, 6, 5 + stride, 6 + stride]
 
     def test_coin_distribution_roughly_uniform(self):
         spec = consensus_game(4)

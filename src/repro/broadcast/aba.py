@@ -111,21 +111,24 @@ class BinaryAgreement(Session):
         # the wrong type or arity, a non-int round or a value other than
         # the int 0 or 1 is noise, ignored like any other message honest
         # parties never send.
-        if type(payload) is not tuple or not payload:
+        if type(payload) is not tuple:
             return
-        kind = payload[0]
-        if kind == "bval" or kind == "aux":
-            if len(payload) != 3:
+        arity = len(payload)
+        if arity == 3:
+            kind, r, v = payload
+            if not (kind == "bval" or kind == "aux"):
                 return
-            _, r, v = payload
             if type(r) is not int or type(v) is not int or v not in (0, 1):
                 return
-            state = self._round(r)
+            # _round inlined: this runs once per BVAL and AUX.
+            state = self.rounds.get(r)
+            if state is None:
+                state = self.rounds[r] = _Round()
             if kind == "bval":
                 holders = state.bval_recv[v]
                 holders.add(sender)
                 count = len(holders)
-                if count >= self._relay:
+                if count >= self._relay and v not in state.bval_sent:
                     self._send_bval(r, v)  # amplification (safe pre-proposal too)
                 if count >= self._quorum and v not in state.bin_values:
                     state.bin_values.add(v)
@@ -135,11 +138,9 @@ class BinaryAgreement(Session):
                 state.aux_recv[sender] = v
                 state.aux_count[v] += 1
                 self._try_progress(r)
-        elif kind == "decide":
-            if len(payload) != 2:
-                return
-            _, v = payload
-            if type(v) is not int or v not in (0, 1):
+        elif arity == 2:
+            kind, v = payload
+            if kind != "decide" or type(v) is not int or v not in (0, 1):
                 return
             holders = self.decide_recv[v]
             holders.add(sender)
@@ -156,7 +157,8 @@ class BinaryAgreement(Session):
             return
         if r != self.round:
             return
-        state = self._round(r)
+        # The current round's state exists: every caller created it.
+        state = self.rounds[r]
         if not state.aux_sent:
             if not state.bin_values:
                 return
@@ -166,7 +168,10 @@ class BinaryAgreement(Session):
             return
         # AUX messages count only for values already in bin_values.
         counts = state.aux_count
-        if sum(counts[v] for v in state.bin_order) < self._aux_quorum:
+        total = 0
+        for v in state.bin_order:
+            total += counts[v]
+        if total < self._aux_quorum:
             return
         vals = [v for v in state.bin_order if counts[v]]
         coin = coin_value(self.config("coin_seed"), (self.sid, r))

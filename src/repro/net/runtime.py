@@ -36,7 +36,7 @@ from repro.net.latency import LatencyModel, latency_from_name
 from repro.net.tcp import TcpTransport
 from repro.obs.metrics import registry as obs_registry
 from repro.obs.tracing import span as obs_span
-from repro.sim.network import Network, START_SIGNAL
+from repro.sim.network import Message, Network, START_SIGNAL
 from repro.sim.process import Context, Process
 from repro.sim.runtime import ENVIRONMENT_PID, RunResult
 from repro.sim.trace import Trace, TraceEvent
@@ -123,6 +123,7 @@ class NetRuntime:
         self.trace = Trace(record_payloads=record_payloads)
         self._trace_on = record_trace
         self._contexts: dict[int, Context] = {}
+        self._batch = 0
         self.outputs: dict[int, Any] = {}
         self.halted: set[int] = set()
         self.started: set[int] = set()
@@ -140,7 +141,9 @@ class NetRuntime:
             self._rngs[pid] = self._rng_tree.child(self.rng_namespace, pid).rng
         return self._rngs[pid]
 
-    def _context(self, pid: int, batch: int) -> Context:
+    def _context(self, pid: int) -> Context:
+        """The pid's context, refreshed for a new activation (one batch)."""
+        batch = self._batch = self._batch + 1
         ctx = self._contexts.get(pid)
         if ctx is None:
             ctx = Context(self, pid, self._step, batch)
@@ -160,7 +163,9 @@ class NetRuntime:
             # Inbox replay after a crash-restart: the pre-crash activations
             # already put these sends on the wire.
             return
-        msg = self.network.send(sender, recipient, payload, self._step, batch)
+        msg = self.network.get(
+            self.network.send(sender, recipient, payload, self._step, batch)
+        )
         if self._trace_on:
             self.trace.add(
                 TraceEvent(
@@ -202,8 +207,8 @@ class NetRuntime:
             msg, self.latency.delay(sender, recipient, self._transport.now)
         )
         for _ in range(copies - 1):
-            dup = self.network.send(
-                sender, recipient, payload, self._step, batch
+            dup = self.network.get(
+                self.network.send(sender, recipient, payload, self._step, batch)
             )
             if self._trace_on:
                 self.trace.add(
@@ -309,7 +314,7 @@ class NetRuntime:
                             continue
                         break  # quiesced: nothing left in flight
                     uid, override, observed_delay = delivery
-                    if self.network.get(uid) is None:
+                    if uid not in self.network:
                         # Withdrawn while in flight (recipient crashed):
                         # the frame arrived but the message no longer
                         # exists — the injector holds or dropped it.
@@ -390,8 +395,7 @@ class NetRuntime:
             for sender, payload in faults.inbox_log.get(pid, ()):
                 if pid in self.halted:
                     break
-                batch = self.network.new_batch()
-                ctx = self._context(pid, batch)
+                ctx = self._context(pid)
                 if pid not in self.started:
                     self.started.add(pid)
                     process.on_start(ctx)
@@ -437,9 +441,9 @@ class NetRuntime:
 
     def _inject_start_signals(self) -> None:
         for pid in sorted(self.processes):
-            batch = self.network.new_batch()
-            msg = self.network.send(
-                ENVIRONMENT_PID, pid, START_SIGNAL, 0, batch
+            batch = self._batch = self._batch + 1
+            msg = self.network.get(
+                self.network.send(ENVIRONMENT_PID, pid, START_SIGNAL, 0, batch)
             )
             self._env_sent += 1
             self._transport.post(
@@ -455,7 +459,7 @@ class NetRuntime:
         metrics,
         observed_delay: float,
     ) -> None:
-        msg = self.network.deliver(uid)
+        msg = Message(*self.network.deliver(uid))
         self._step += 1
         if self._trace_on:
             self.trace.add(
@@ -493,8 +497,7 @@ class NetRuntime:
     def _activate(self, pid: int, msg, payload: Any) -> None:
         """The kernel's post-delivery activation sequence, verbatim."""
         process = self.processes[pid]
-        batch = self.network.new_batch()
-        ctx = self._context(pid, batch)
+        ctx = self._context(pid)
         if pid not in self.started:
             self.started.add(pid)
             if self._trace_on:

@@ -147,7 +147,7 @@ class TcpTransport:
             "TCP frames that failed their CRC check on arrival.",
         ).inc(transport=self.name)
         network = self._network
-        if network is not None and network.get(uid) is not None:
+        if network is not None and uid in network:
             network.drop(uid)
         # Wake next_delivery so it re-checks quiescence instead of idling
         # out on a message that will never arrive.
@@ -248,7 +248,7 @@ class TcpTransport:
             "TCP frames abandoned after the reconnect budget ran out.",
         ).inc(transport=self.name)
         network = self._network
-        if network is not None and network.get(uid) is not None:
+        if network is not None and uid in network:
             network.drop(uid)
         self._arrived.put_nowait((None, None))
 
@@ -292,7 +292,7 @@ class TcpTransport:
             if uid is None:
                 continue  # wake-up sentinel: re-check quiescence
             sent = self._sent_at.pop(uid, None)
-            if network.get(uid) is None:
+            if uid not in network:
                 continue  # dropped (recipient halted) while in flight
             observed = (
                 0.0

@@ -1,4 +1,4 @@
-"""Messages and the indexed in-transit message pool.
+"""Messages and the in-transit message pool.
 
 Channels are secure and private point-to-point links: the scheduler observes
 *that* a message exists (sender, recipient, send order) but never its
@@ -8,15 +8,21 @@ messages (Section 6.1). Scheduler code therefore only ever sees
 those by hand) or through a :class:`TransitView`, the zero-copy facade the
 kernel hands to schedulers.
 
-The pool is *indexed*: besides the master uid → message map, the network
-keeps the in-transit uids in an ascending list (so "the k-th oldest
-message" — a random scheduler's draw — is one index) and maintains
-per-recipient, per-sender, and per-batch buckets. Each bucket is an
-insertion-ordered dict kept in ascending uid order, so "the oldest message
-to recipient r" is ``next(iter(bucket))`` — O(1) — instead of a scan over a
-freshly materialized list. Schedulers use these through
-:class:`TransitView`; the old list-building accessors remain for tests and
-cold paths.
+The pool keeps each in-transit message as a plain record tuple
+``(uid, sender, recipient, payload, send_step, batch)`` — the field order
+of :class:`Message` — in a uid → record map, plus the in-transit uids in an
+ascending list (so "the k-th oldest message", a random scheduler's draw, is
+one index). :class:`Message` objects are built from records only for
+callers off the per-message path: timing-model hooks, the fault
+injector's held messages and inspection.
+
+Per-recipient, per-sender and per-batch buckets and the self-send counts
+form one :class:`PoolIndex`. The fifo, random and latency schedulers never
+read it, so the pool builds it the first time a scheduler query, a halt
+(:meth:`Network.discard_to`) or a crash (:meth:`Network.withdraw_to`) asks
+for it, and maintains it from then on. Each bucket is an insertion-ordered
+dict kept in ascending uid order, so "the oldest message to recipient r" is
+``next(iter(bucket))`` — O(1).
 """
 
 from __future__ import annotations
@@ -54,6 +60,11 @@ class Message:
             batch=self.batch,
         )
 
+    def record(self) -> tuple:
+        """The pool's record of this message."""
+        return (self.uid, self.sender, self.recipient, self.payload,
+                self.send_step, self.batch)
+
 
 @dataclass(frozen=True, slots=True)
 class MessageView:
@@ -66,6 +77,92 @@ class MessageView:
     batch: int
 
 
+def _view_of(record: tuple) -> MessageView:
+    uid, sender, recipient, _, send_step, batch = record
+    return MessageView(uid, sender, recipient, send_step, batch)
+
+
+class PoolIndex:
+    """Buckets of in-transit records by recipient, sender and batch, and
+    self-send counts.
+
+    Not live until :meth:`ready` first builds it; from then on the
+    :class:`Network` keeps it current on every send and removal.
+    """
+
+    __slots__ = ("live", "by_recipient", "by_sender", "by_batch",
+                 "self_counts", "_records", "_uids")
+
+    def __init__(self, records: dict, uids: list) -> None:
+        self.live = False
+        self.by_recipient: dict[int, dict[int, tuple]] = {}
+        self.by_sender: dict[int, dict[int, tuple]] = {}
+        self.by_batch: dict[int, dict[int, tuple]] = {}
+        self.self_counts: dict[int, int] = {}
+        self._records = records
+        self._uids = uids
+
+    def ready(self) -> "PoolIndex":
+        """This index, built first if it is not live yet."""
+        if not self.live:
+            self.live = True
+            records = self._records
+            for uid in self._uids:
+                self.add(records[uid])
+        return self
+
+    def add(self, record: tuple) -> None:
+        """Index ``record``; callers add in ascending uid order or
+        :meth:`resort` afterwards."""
+        uid, sender, recipient, _, _, batch = record
+        bucket = self.by_recipient.get(recipient)
+        if bucket is None:
+            self.by_recipient[recipient] = {uid: record}
+        else:
+            bucket[uid] = record
+        bucket = self.by_sender.get(sender)
+        if bucket is None:
+            self.by_sender[sender] = {uid: record}
+        else:
+            bucket[uid] = record
+        bucket = self.by_batch.get(batch)
+        if bucket is None:
+            self.by_batch[batch] = {uid: record}
+        else:
+            bucket[uid] = record
+        if sender == recipient:
+            self.self_counts[sender] = self.self_counts.get(sender, 0) + 1
+
+    def discard(self, record: tuple) -> None:
+        uid, sender, recipient, _, _, batch = record
+        bucket = self.by_recipient[recipient]
+        del bucket[uid]
+        if not bucket:
+            del self.by_recipient[recipient]
+        bucket = self.by_sender[sender]
+        del bucket[uid]
+        if not bucket:
+            del self.by_sender[sender]
+        bucket = self.by_batch[batch]
+        del bucket[uid]
+        if not bucket:
+            del self.by_batch[batch]
+        if sender == recipient:
+            remaining = self.self_counts[sender] - 1
+            if remaining:
+                self.self_counts[sender] = remaining
+            else:
+                del self.self_counts[sender]
+
+    def resort(self, records: Iterable[tuple]) -> None:
+        """Restore ascending uid order in every bucket ``records`` touch."""
+        for _, sender, recipient, _, _, batch in records:
+            for buckets, key in ((self.by_recipient, recipient),
+                                 (self.by_sender, sender),
+                                 (self.by_batch, batch)):
+                buckets[key] = dict(sorted(buckets[key].items()))
+
+
 class TransitView:
     """Read-only, allocation-free scheduler's view of the in-transit pool.
 
@@ -73,45 +170,42 @@ class TransitView:
     legacy scheduler code keeps working, and exposes indexed queries —
     :meth:`has_uid`, :meth:`min_uid`, :meth:`nth_uid`, :meth:`oldest_to`,
     :meth:`oldest_from`, :meth:`oldest_in_batch`, :meth:`self_senders` —
-    that answer in O(1) from the network's sorted uid list and buckets.
+    that answer in O(1) from the network's sorted uid list and its
+    :class:`PoolIndex`, which the first query that needs it builds.
     Schedulers should prefer the indexed queries; payloads are never
     reachable through this object.
 
-    The view holds the pool's containers, not the :class:`Network`, so
-    the network and its view form no reference cycle and a finished run's
-    pool is freed by reference counting. The network never rebinds those
-    containers, which keeps the view current.
+    The view holds the pool's record map, uid list and index, not the
+    :class:`Network`, so the network and its view form no reference
+    cycle and a finished run's pool is freed by reference counting. The
+    network never rebinds those containers, which keeps the view current.
     """
 
-    __slots__ = ("_in_transit", "_uids", "_by_recipient", "_by_sender",
-                 "_by_batch", "_self_counts")
+    __slots__ = ("_records", "_uids", "_index")
 
-    def __init__(self, net: "Network") -> None:
-        self._in_transit = net._in_transit
-        self._uids = net._uids
-        self._by_recipient = net._by_recipient
-        self._by_sender = net._by_sender
-        self._by_batch = net._by_batch
-        self._self_counts = net._self_counts
+    def __init__(self, records: dict, uids: list, index: PoolIndex) -> None:
+        self._records = records
+        self._uids = uids
+        self._index = index
 
     # -- Sequence[MessageView] compatibility --------------------------------
 
     def __len__(self) -> int:
-        return len(self._in_transit)
+        return len(self._records)
 
     def __bool__(self) -> bool:
-        return bool(self._in_transit)
+        return bool(self._records)
 
     def __iter__(self) -> Iterator[MessageView]:
-        in_transit = self._in_transit
-        messages = [in_transit[uid] for uid in self._uids]
-        return (m.view() for m in messages)
+        records = self._records
+        snapshot = [records[uid] for uid in self._uids]
+        return map(_view_of, snapshot)
 
     def __getitem__(self, index):
-        in_transit = self._in_transit
+        records = self._records
         if isinstance(index, slice):
-            return [in_transit[uid].view() for uid in self._uids[index]]
-        return in_transit[self._uids[index]].view()
+            return [_view_of(records[uid]) for uid in self._uids[index]]
+        return _view_of(records[self._uids[index]])
 
     # -- indexed queries -----------------------------------------------------
 
@@ -121,7 +215,7 @@ class TransitView:
 
     def has_uid(self, uid: int) -> bool:
         """Is message ``uid`` still in transit?"""
-        return uid in self._in_transit
+        return uid in self._records
 
     def min_uid(self) -> Optional[int]:
         """Oldest in-transit uid, or None when the pool is empty."""
@@ -132,46 +226,46 @@ class TransitView:
         """The ``index``-th oldest in-transit uid (0 is the oldest)."""
         return self._uids[index]
 
+    def batch_of(self, uid: int) -> int:
+        return self._records[uid][5]
+
     def recipients(self):
         """Recipients with at least one in-transit message."""
-        return self._by_recipient.keys()
+        return self._index.ready().by_recipient.keys()
 
     def senders(self):
         """Senders with at least one in-transit message."""
-        return self._by_sender.keys()
+        return self._index.ready().by_sender.keys()
 
     def oldest_to(self, recipient: int) -> Optional[int]:
-        bucket = self._by_recipient.get(recipient)
+        bucket = self._index.ready().by_recipient.get(recipient)
         return next(iter(bucket)) if bucket else None
 
     def oldest_from(self, sender: int) -> Optional[int]:
-        bucket = self._by_sender.get(sender)
+        bucket = self._index.ready().by_sender.get(sender)
         return next(iter(bucket)) if bucket else None
 
     def oldest_in_batch(self, batch: int) -> Optional[int]:
-        bucket = self._by_batch.get(batch)
+        bucket = self._index.ready().by_batch.get(batch)
         return next(iter(bucket)) if bucket else None
 
-    def batch_of(self, uid: int) -> int:
-        return self._in_transit[uid].batch
-
     def to_recipient(self, recipient: int) -> Iterator[MessageView]:
-        bucket = self._by_recipient.get(recipient)
-        return (m.view() for m in bucket.values()) if bucket else iter(())
+        bucket = self._index.ready().by_recipient.get(recipient)
+        return map(_view_of, bucket.values()) if bucket else iter(())
 
     def from_sender(self, sender: int) -> Iterator[MessageView]:
-        bucket = self._by_sender.get(sender)
-        return (m.view() for m in bucket.values()) if bucket else iter(())
+        bucket = self._index.ready().by_sender.get(sender)
+        return map(_view_of, bucket.values()) if bucket else iter(())
 
     def self_senders(self):
         """Pids with a ``pid → pid`` message in transit (read-only view).
 
         Self-messages are the covert-channel signal relaxed colluding
-        environments watch for (Section 6.1). The pool counts them on
+        environments watch for (Section 6.1). The index counts them on
         send/remove, so the set is almost always empty and a watch over
         a coalition is one ``isdisjoint`` per step.
         """
-        return self._self_counts.keys()
+        return self._index.ready().self_counts.keys()
 
 
 TransitPool = Union[TransitView, "Iterable[MessageView]"]
@@ -181,101 +275,74 @@ sequences of :class:`MessageView`."""
 
 
 class Network:
-    """The indexed pool of in-transit messages."""
+    """The pool of in-transit messages."""
 
     def __init__(self) -> None:
         self._next_uid = 0
-        self._next_batch = 0
-        self._in_transit: dict[int, Message] = {}
+        self.records: dict[int, tuple] = {}
+        """In-transit records by uid. Read-only outside this class."""
         self._uids: list[int] = []
         """In-transit uids, ascending: appended on send (uids only grow),
         bisected out on removal, insorted on reinstatement."""
-        self._by_recipient: dict[int, dict[int, Message]] = {}
-        self._by_sender: dict[int, dict[int, Message]] = {}
-        self._by_batch: dict[int, dict[int, Message]] = {}
-        self._self_counts: dict[int, int] = {}
-        self._view = TransitView(self)
-        self.total_sent = 0
+        self._index = PoolIndex(self.records, self._uids)
+        self._view = TransitView(self.records, self._uids, self._index)
         self.total_delivered = 0
         self.total_dropped = 0
 
-    # -- sending -----------------------------------------------------------
+    @property
+    def total_sent(self) -> int:
+        # Only sends draw uids.
+        return self._next_uid
 
-    def new_batch(self) -> int:
-        self._next_batch += 1
-        return self._next_batch
+    # -- sending -----------------------------------------------------------
 
     def send(
         self, sender: int, recipient: int, payload: Any, step: int, batch: int
-    ) -> Message:
+    ) -> int:
+        """Put a message in transit; returns its uid."""
         uid = self._next_uid
-        msg = Message(uid, sender, recipient, payload, step, batch)
         self._next_uid = uid + 1
-        self._in_transit[uid] = msg
+        record = (uid, sender, recipient, payload, step, batch)
+        self.records[uid] = record
         self._uids.append(uid)
-        by_r = self._by_recipient
-        if recipient in by_r:
-            by_r[recipient][uid] = msg
-        else:
-            by_r[recipient] = {uid: msg}
-        by_s = self._by_sender
-        if sender in by_s:
-            by_s[sender][uid] = msg
-        else:
-            by_s[sender] = {uid: msg}
-        by_b = self._by_batch
-        if batch in by_b:
-            by_b[batch][uid] = msg
-        else:
-            by_b[batch] = {uid: msg}
-        if sender == recipient:
-            self._self_counts[sender] = self._self_counts.get(sender, 0) + 1
-        self.total_sent += 1
-        return msg
+        if self._index.live:
+            self._index.add(record)
+        return uid
 
-    # -- delivery ----------------------------------------------------------
+    # -- removal -----------------------------------------------------------
 
-    def _remove(self, uid: int) -> Message:
-        msg = self._in_transit.pop(uid)
+    def _pop(self, uid: int) -> tuple:
+        record = self.records.pop(uid)
         uids = self._uids
         del uids[bisect_left(uids, uid)]
-        bucket = self._by_recipient[msg.recipient]
-        del bucket[uid]
-        if not bucket:
-            del self._by_recipient[msg.recipient]
-        bucket = self._by_sender[msg.sender]
-        del bucket[uid]
-        if not bucket:
-            del self._by_sender[msg.sender]
-        bucket = self._by_batch[msg.batch]
-        del bucket[uid]
-        if not bucket:
-            del self._by_batch[msg.batch]
-        if msg.sender == msg.recipient:
-            remaining = self._self_counts[msg.sender] - 1
-            if remaining:
-                self._self_counts[msg.sender] = remaining
-            else:
-                del self._self_counts[msg.sender]
-        return msg
+        if self._index.live:
+            self._index.discard(record)
+        return record
 
-    def deliver(self, uid: int) -> Message:
-        msg = self._remove(uid)
+    def deliver(self, uid: int) -> tuple:
+        """Take message ``uid`` out of transit as delivered; returns its
+        record. Raises ``KeyError`` if ``uid`` is not in transit."""
+        # _pop inlined: this runs once per delivered message.
+        record = self.records.pop(uid)
+        uids = self._uids
+        del uids[bisect_left(uids, uid)]
+        if self._index.live:
+            self._index.discard(record)
         self.total_delivered += 1
-        return msg
+        return record
 
-    def drop(self, uid: int) -> Message:
-        msg = self._remove(uid)
+    def drop(self, uid: int) -> None:
+        self._pop(uid)
         self.total_dropped += 1
-        return msg
 
     def discard_to(self, recipients: set[int]) -> int:
         """Silently discard messages addressed to halted processes."""
+        by_recipient = self._index.ready().by_recipient
         uids = [
             uid
             for recipient in sorted(recipients)
-            if recipient in self._by_recipient
-            for uid in self._by_recipient[recipient]
+            if recipient in by_recipient
+            for uid in by_recipient[recipient]
         ]
         for uid in uids:
             self.drop(uid)
@@ -287,43 +354,36 @@ class Network:
         """Pull a message out of the pool without counting it delivered
         or dropped — the fault injector holds it for later reinstatement
         (partition cut, crashed-but-restartable recipient)."""
-        return self._remove(uid)
+        return Message(*self._pop(uid))
 
     def withdraw_to(self, recipient: int) -> list[Message]:
         """Withdraw every in-transit message addressed to ``recipient``."""
-        bucket = self._by_recipient.get(recipient)
+        bucket = self._index.ready().by_recipient.get(recipient)
         if not bucket:
             return []
-        return [self._remove(uid) for uid in list(bucket)]
+        return [self.withdraw(uid) for uid in list(bucket)]
 
     def reinstate(self, messages: Iterable[Message]) -> None:
         """Put previously withdrawn messages back into the pool.
 
         Reinstated uids are older than anything sent since they were
-        withdrawn, so they are insorted into the uid list and every touched
-        bucket is re-sorted to restore the ascending-uid order that
-        :meth:`TransitView.min_uid`, :meth:`TransitView.nth_uid` and the
-        oldest-first queries rely on.
+        withdrawn, so they are insorted into the uid list and, when the
+        index is live, every touched bucket is re-sorted to restore the
+        ascending-uid order that :meth:`TransitView.min_uid`,
+        :meth:`TransitView.nth_uid` and the oldest-first queries rely on.
         """
-        msgs = sorted(messages, key=lambda m: m.uid)
-        if not msgs:
+        records = sorted(m.record() for m in messages)
+        if not records:
             return
-        for msg in msgs:
-            self._in_transit[msg.uid] = msg
-            insort(self._uids, msg.uid)
-            self._by_recipient.setdefault(msg.recipient, {})[msg.uid] = msg
-            self._by_sender.setdefault(msg.sender, {})[msg.uid] = msg
-            self._by_batch.setdefault(msg.batch, {})[msg.uid] = msg
-            if msg.sender == msg.recipient:
-                count = self._self_counts.get(msg.sender, 0)
-                self._self_counts[msg.sender] = count + 1
-        for msg in msgs:
-            by_r = self._by_recipient[msg.recipient]
-            self._by_recipient[msg.recipient] = dict(sorted(by_r.items()))
-            by_s = self._by_sender[msg.sender]
-            self._by_sender[msg.sender] = dict(sorted(by_s.items()))
-            by_b = self._by_batch[msg.batch]
-            self._by_batch[msg.batch] = dict(sorted(by_b.items()))
+        index = self._index
+        for record in records:
+            uid = record[0]
+            self.records[uid] = record
+            insort(self._uids, uid)
+            if index.live:
+                index.add(record)
+        if index.live:
+            index.resort(records)
 
     # -- inspection --------------------------------------------------------
 
@@ -331,16 +391,21 @@ class Network:
         """The scheduler-facing facade (a singleton; state lives here)."""
         return self._view
 
+    def __contains__(self, uid: int) -> bool:
+        return uid in self.records
+
     def get(self, uid: int) -> Optional[Message]:
-        return self._in_transit.get(uid)
+        record = self.records.get(uid)
+        return None if record is None else Message(*record)
 
     def in_transit(self) -> list[Message]:
         """In-transit messages, oldest first."""
-        in_transit = self._in_transit
-        return [in_transit[uid] for uid in self._uids]
+        records = self.records
+        return [Message(*records[uid]) for uid in self._uids]
 
     def in_transit_views(self) -> list[MessageView]:
-        return [m.view() for m in self.in_transit()]
+        records = self.records
+        return [_view_of(records[uid]) for uid in self._uids]
 
     def __len__(self) -> int:
-        return len(self._in_transit)
+        return len(self.records)

@@ -118,7 +118,16 @@ class Runtime:
         stays empty). Runs are otherwise bit-identical — counters come from
         the network — so batch sweeps that never read traces opt out of
         per-message event construction."""
+        self._watched = (
+            not self._timing_passive or record_trace or self._faults is not None
+        )
+        """Whether anything besides the pool observes each send and
+        delivery (timing hooks, trace events, the fault log): one test
+        per message instead of one per observer."""
         self._contexts: dict[int, Context] = {}
+        self._batch = 0
+        """The last batch id handed out: each activation (delivery, tick,
+        replayed delivery) and each start signal opens the next one."""
         self.outputs: dict[int, Any] = {}
         self.halted: set[int] = set()
         self.started: set[int] = set()
@@ -138,21 +147,18 @@ class Runtime:
             self._rngs[pid] = self._rng_tree.child(self.rng_namespace, pid).rng
         return self._rngs[pid]
 
-    def _context(self, pid: int, batch: int) -> Context:
-        """The per-pid activation context, refreshed for this activation.
+    def _context(self, pid: int) -> Context:
+        """The pid's activation context, refreshed for a new activation.
 
         Contexts are capability objects whose only activation-varying state
-        is ``(step, batch)``; reusing one per pid avoids an allocation per
-        delivery. Processes that stash their context see the same object
-        every activation.
+        is ``(step, batch)``; ``run`` makes one per pid, so a delivery
+        allocates none. Processes that stash their context see the same
+        object every activation. :meth:`_deliver` does the same inline.
         """
-        ctx = self._contexts.get(pid)
-        if ctx is None:
-            ctx = Context(self, pid, self._step, batch)
-            self._contexts[pid] = ctx
-        else:
-            ctx.step = self._step
-            ctx._batch = batch
+        batch = self._batch = self._batch + 1
+        ctx = self._contexts[pid]
+        ctx.step = self._step
+        ctx._batch = batch
         return ctx
 
     def _send_from(self, sender: int, recipient: int, payload: Any, batch: int) -> None:
@@ -166,34 +172,23 @@ class Runtime:
             return
         if sender == self.mediator_pid:
             self._mediator_batches.add(batch)
-        msg = self.network.send(sender, recipient, payload, self._step, batch)
-        if not self._timing_passive:
-            self.timing.on_send(msg, self._step)
-        if self._trace_on:
-            self.trace.add(
-                TraceEvent(
-                    step=self._step,
-                    kind="send",
-                    pid=sender,
-                    sender=sender,
-                    recipient=recipient,
-                    uid=msg.uid,
-                    payload=payload if self.trace.record_payloads else None,
-                )
-            )
+        network = self.network
+        uid = network.send(sender, recipient, payload, self._step, batch)
+        if self._watched:
+            self._observe_send(uid)
         if recipient in self.halted:
-            self.network.drop(msg.uid)
+            network.drop(uid)
             return
         post = self._post
         if faults is None:
             if post is not None:
-                post(msg.uid, sender, recipient)
+                post(uid, sender, recipient)
             return
         fate, arg = faults.fate(sender, recipient, self._step)
         if fate == "hold":
-            faults.hold(arg, self.network.withdraw(msg.uid))
+            faults.hold(arg, network.withdraw(uid))
         elif fate == "drop":
-            self.network.drop(msg.uid)
+            network.drop(uid)
             if self._trace_on:
                 self.trace.add(
                     TraceEvent(
@@ -202,34 +197,36 @@ class Runtime:
                         pid=recipient,
                         sender=sender,
                         recipient=recipient,
-                        uid=msg.uid,
+                        uid=uid,
                     )
                 )
         else:
             if post is not None:
-                post(msg.uid, sender, recipient)
+                post(uid, sender, recipient)
             for _ in range(arg - 1):
-                dup = self.network.send(
-                    sender, recipient, payload, self._step, batch
-                )
-                if not self._timing_passive:
-                    self.timing.on_send(dup, self._step)
-                if self._trace_on:
-                    self.trace.add(
-                        TraceEvent(
-                            step=self._step,
-                            kind="send",
-                            pid=sender,
-                            sender=sender,
-                            recipient=recipient,
-                            uid=dup.uid,
-                            payload=(
-                                payload if self.trace.record_payloads else None
-                            ),
-                        )
-                    )
+                dup = network.send(sender, recipient, payload, self._step, batch)
+                self._observe_send(dup)
                 if post is not None:
-                    post(dup.uid, sender, recipient)
+                    post(dup, sender, recipient)
+
+    def _observe_send(self, uid: int) -> None:
+        """The timing model's send hook and the trace's send event."""
+        step = self._step
+        if not self._timing_passive:
+            self.timing.on_send(self.network.get(uid), step)
+        if self._trace_on:
+            _, sender, recipient, payload, _, _ = self.network.records[uid]
+            self.trace.add(
+                TraceEvent(
+                    step=step,
+                    kind="send",
+                    pid=sender,
+                    sender=sender,
+                    recipient=recipient,
+                    uid=uid,
+                    payload=payload if self.trace.record_payloads else None,
+                )
+            )
 
     def _record_output(self, pid: int, action: Any) -> None:
         if self._faults is not None and self._faults.replaying:
@@ -265,8 +262,7 @@ class Runtime:
             if pid in self.halted:
                 continue
             process = self.processes[pid]
-            batch = self.network.new_batch()
-            ctx = self._context(pid, batch)
+            ctx = self._context(pid)
             if self._trace_on:
                 self.trace.add(
                     TraceEvent(step=self._step, kind="tick", pid=pid)
@@ -277,6 +273,9 @@ class Runtime:
 
     def run(self) -> RunResult:
         try:
+            self._contexts = {
+                pid: Context(self, pid, 0, 0) for pid in self.processes
+            }
             self.scheduler.reset(self.seed)
             self.timing.reset(self)
             faults = self._faults
@@ -288,7 +287,8 @@ class Runtime:
             # Localize per-iteration state: the loop runs once per delivered
             # message and attribute lookups are a measurable share of it.
             timing_passive = self._timing_passive
-            network_view = self.network.view
+            in_transit = self.network.records
+            view = self.network.view()
             choose = self.scheduler.choose
             step_limit = self.step_limit
             halted = self.halted
@@ -311,10 +311,12 @@ class Runtime:
                             break
 
                 if timing_passive:
-                    pool = network_view()
+                    pool = view
+                    empty = not in_transit
                 else:
                     pool = self.timing.eligible(self.network, self._step)
-                if not len(pool):
+                    empty = not len(pool)
+                if empty:
                     if self.timing.advance(self):
                         continue
                     if faults is not None and self._advance_faults():
@@ -432,8 +434,7 @@ class Runtime:
             for sender, payload in faults.inbox_log.get(pid, ()):
                 if pid in self.halted:
                     break
-                batch = self.network.new_batch()
-                ctx = self._context(pid, batch)
+                ctx = self._context(pid)
                 if pid not in self.started:
                     self.started.add(pid)
                     process.on_start(ctx)
@@ -482,12 +483,12 @@ class Runtime:
     def _inject_start_signals(self) -> None:
         post = self._post
         for pid in sorted(self.processes):
-            batch = self.network.new_batch()
-            msg = self.network.send(ENVIRONMENT_PID, pid, START_SIGNAL, 0, batch)
+            batch = self._batch = self._batch + 1
+            uid = self.network.send(ENVIRONMENT_PID, pid, START_SIGNAL, 0, batch)
             if not self._timing_passive:
-                self.timing.on_send(msg, 0)
+                self.timing.on_send(self.network.get(uid), 0)
             if post is not None:
-                post(msg.uid, ENVIRONMENT_PID, pid)
+                post(uid, ENVIRONMENT_PID, pid)
             self._env_sent += 1
 
     def _forced_batch_completion(self, pool=None) -> Optional[int]:
@@ -543,17 +544,40 @@ class Runtime:
         return min(candidates)
 
     def _deliver(self, uid: int) -> None:
-        network = self.network
         try:
-            msg = network.deliver(uid)
+            record = self.network.deliver(uid)
         except KeyError:
             raise SchedulerError(f"scheduler chose unknown message uid {uid}")
+        _, sender, pid, payload, _, batch = record
         step = self._step = self._step + 1
+        if self._watched:
+            self._observe_delivery(record, step)
+        if batch in self._mediator_batches:
+            self._delivered_mediator_batches.add(batch)
+        if pid in self.halted:
+            return
+        # _context inlined: this runs once per delivered message.
+        ctx = self._contexts[pid]
+        ctx.step = step
+        ctx._batch = self._batch = self._batch + 1
+        process = self.processes[pid]
+        if pid not in self.started:
+            self.started.add(pid)
+            if self._trace_on:
+                self.trace.add(TraceEvent(step=step, kind="start", pid=pid))
+            process.on_start(ctx)
+        if sender == ENVIRONMENT_PID and payload == START_SIGNAL:
+            return
+        if pid in self.halted:
+            return
+        process.on_message(ctx, sender, payload)
+
+    def _observe_delivery(self, record: tuple, step: int) -> None:
+        """The timing model's delivery hook, the trace's delivery event
+        and the fault injector's inbox log."""
+        uid, sender, pid, payload, _, _ = record
         if not self._timing_passive:
-            self.timing.on_deliver(msg, step)
-        if msg.batch in self._mediator_batches:
-            self._delivered_mediator_batches.add(msg.batch)
-        pid, sender, payload = msg.recipient, msg.sender, msg.payload
+            self.timing.on_deliver(Message(*record), step)
         if self._trace_on:
             self.trace.add(
                 TraceEvent(
@@ -566,19 +590,5 @@ class Runtime:
                     payload=payload if self.trace.record_payloads else None,
                 )
             )
-        if pid in self.halted:
-            return
-        if self._faults is not None:
+        if self._faults is not None and pid not in self.halted:
             self._faults.log_delivery(pid, sender, payload)
-        ctx = self._context(pid, network.new_batch())
-        process = self.processes[pid]
-        if pid not in self.started:
-            self.started.add(pid)
-            if self._trace_on:
-                self.trace.add(TraceEvent(step=step, kind="start", pid=pid))
-            process.on_start(ctx)
-        if sender == ENVIRONMENT_PID and payload == START_SIGNAL:
-            return
-        if pid in self.halted:
-            return
-        process.on_message(ctx, sender, payload)

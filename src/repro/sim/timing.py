@@ -146,7 +146,7 @@ class LockStep(TimingModel):
             # Dropped messages (halted recipients, relaxed drops) leave
             # stale uids behind; prune only when a drop actually happened.
             self._dropped_seen = network.total_dropped
-            stale = [uid for uid in views if network.get(uid) is None]
+            stale = [uid for uid in views if uid not in network]
             for uid in stale:
                 del views[uid]
         # A dict view supports len/iteration/truthiness — everything the
@@ -164,7 +164,7 @@ class LockStep(TimingModel):
             views = {
                 uid: m.view()
                 for uid, m in self._future.items()
-                if network.get(uid) is not None
+                if uid in network
             }
             self._future = {}
             if not views:
@@ -237,8 +237,7 @@ class BoundedDelay(TimingModel):
                 overdue[uid] = (deadline, msg)
         if overdue:
             # Dropped messages (halted recipients) leave stale uids behind.
-            dead = [uid for uid, (_, m) in overdue.items()
-                    if network.get(uid) is None]
+            dead = [uid for uid in overdue if uid not in network]
             for uid in dead:
                 del overdue[uid]
         if overdue:

@@ -23,12 +23,15 @@ from repro.analysis.deviations import (
 from repro.analysis.section64 import ColludingScheduler, leak_attack, run_attack
 from repro.cheaptalk import compile_theorem41
 from repro.experiments import ExperimentRunner, get_scenario
+from repro.experiments.cache import _build_mediator
+from repro.experiments.deviations import deviation_profile
 from repro.games.library import (
     BOT,
     byzantine_agreement_game,
     consensus_game,
     section64_game,
 )
+from repro.games.registry import make_game
 from repro.mediator import (
     LeakySection64Mediator,
     MediatorGame,
@@ -151,6 +154,21 @@ class TestEmpiricalRobustness:
             # The coin is fair under every environment; spread is sampling
             # noise.
             assert result["spread"] < bound, envs
+        # Control: on consensus_game(9) every player is paid 1.0 whatever
+        # the coin picks, so the spread above is 0 however it is computed.
+        # Against the Sec 6.4 leaky mediator the colluding environment
+        # does move the leak-attack coalition's payoff.
+        scenario = get_scenario("sec64-leak-attack")
+        game_spec = make_game(scenario.game, scenario.n)
+        control = scheduler_proofness_spread(
+            _build_mediator(scenario, game_spec),
+            [FifoScheduler(), ColludingScheduler((0, 1))],
+            samples_per_scheduler=10,
+            deviations=deviation_profile(
+                "leak-attack", game_spec, scenario.k, scenario.t, "mediator"
+            ),
+        )
+        assert control["spread"] > 0, control["per_scheduler"]
 
 
 @pytest.mark.slow

@@ -38,6 +38,16 @@ def _golden_specs() -> dict:
         "thm41-honest-n13-random": honest.replace(
             games=("consensus@n13",), schedulers=("random",), seed_count=2
         ),
+        # Schedulers that read the pool's per-sender and per-recipient
+        # order.
+        "thm41-honest-rushing-laggard": honest.replace(
+            schedulers=("rushing-last", "laggard-quarter"), seed_count=1
+        ),
+        # Lock-step and bounded-delay eligibility: the kernel paths that
+        # call the timing model's hooks on every send and delivery.
+        "thm41-timing-models": get_scenario("thm41-timing-models").replace(
+            seed_count=1
+        ),
         # A 224-gate circuit: pins the order in which the MPC engine
         # resolves gates and announces multiplication openings.
         "thm41-honest-volunteer-n9-payloads": honest.replace(
@@ -77,17 +87,20 @@ def record_digest(record) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def cell_key(record) -> str:
-    return (
+def cell_key(record, timed: bool = False) -> str:
+    key = (
         f"{record.game}/{record.scheduler}/{record.deviation}/"
         f"{record.faults}/seed={record.seed}"
     )
+    return f"{key}/timing={record.timing}" if timed else key
 
 
 def digests(spec, runner) -> dict:
     records = runner.run(spec).records
     assert all(r.ok for r in records), [r.error for r in records if not r.ok]
-    return {cell_key(r): record_digest(r) for r in records}
+    # A grid over several timing models holds one cell per model.
+    timed = len(spec.timings) > 1
+    return {cell_key(r, timed): record_digest(r) for r in records}
 
 
 def _golden() -> dict:

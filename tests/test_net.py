@@ -227,7 +227,7 @@ class TestLatencyScheduler:
         network = Network()
         scheduler = LatencyScheduler("fixed-2")
         scheduler.reset(0)
-        msgs = [network.send(0, r, "x", 0, 1) for r in (1, 2, 3)]
+        msgs = [network.get(network.send(0, r, "x", 0, 1)) for r in (1, 2, 3)]
         for msg in reversed(msgs):
             scheduler.post(msg.uid, msg.sender, msg.recipient)
         uids = [msg.uid for msg in msgs]

@@ -1,7 +1,7 @@
 """Contract tests for the scheduler zoo."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.sim import (
     BatchRandomScheduler,
@@ -240,22 +240,20 @@ class TestTransitViewFastPaths:
 
 # One operation on a Network: (kind, a, b). Sends use a/b as sender and
 # recipient; the other kinds pick the (a mod pool size)-th oldest message.
-_OPS = st.lists(
-    st.tuples(
-        st.sampled_from(
-            ["send", "send", "send", "deliver", "drop", "withdraw",
-             "reinstate"]
-        ),
-        st.integers(0, 5),
-        st.integers(0, 5),
+_OP = st.tuples(
+    st.sampled_from(
+        ["send", "send", "send", "deliver", "drop", "withdraw", "reinstate"]
     ),
-    max_size=60,
+    st.integers(0, 5),
+    st.integers(0, 5),
 )
+_OPS = st.lists(_OP, max_size=60)
 
 
 class TestIndexedPoolInvariants:
-    """The sorted uid list and the buckets agree with a plain scan after
-    any mix of send, deliver, drop, withdraw and reinstate."""
+    """The sorted uid list and the index agree with a plain scan after
+    any mix of send, deliver, drop, withdraw and reinstate, whenever the
+    index was built."""
 
     @staticmethod
     def _check(net):
@@ -276,9 +274,10 @@ class TestIndexedPoolInvariants:
             m.sender for m in msgs if m.sender == m.recipient
         }
 
-    @given(_OPS)
-    @settings(max_examples=150, deadline=None)
-    def test_nth_uid_matches_sorted_pool(self, ops):
+    @classmethod
+    def _replay(cls, ops, first_check):
+        """Apply ``ops`` to a fresh pool and check it after every op from
+        step ``first_check`` on; the first check builds the index."""
         net = Network()
         held = []
         for step, (kind, a, b) in enumerate(ops):
@@ -295,7 +294,40 @@ class TestIndexedPoolInvariants:
                     net.drop(uid)
                 else:
                     held.append(net.withdraw(uid))
-            self._check(net)
+            if step >= first_check:
+                cls._check(net)
+
+    @given(_OPS)
+    @settings(max_examples=150, deadline=None)
+    def test_nth_uid_matches_sorted_pool(self, ops):
+        self._replay(ops, first_check=0)
+
+    @given(st.lists(_OP, min_size=10, max_size=60), st.integers(0, 60))
+    @example(
+        # Built after a reinstatement: uid 0 is back behind uid 1 in the
+        # record map, yet it is the oldest message to recipient 1.
+        ops=[("send", 0, 1), ("withdraw", 0, 0), ("send", 0, 1),
+             ("reinstate", 0, 0)],
+        first_check=3,
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_index_built_mid_run_matches_sorted_pool(self, ops, first_check):
+        # The index is built from the pool as it stands at some step,
+        # which may hold reinstated messages, and every later op must
+        # keep it equal to a scan.
+        self._replay(ops, first_check % len(ops))
+
+    def test_index_is_built_only_when_asked(self):
+        # Fifo and random draws read the uid list alone, so the pool
+        # never builds the index for them; eager asks on its first step.
+        for scheduler, built in ((FifoScheduler(), False),
+                                 (RandomScheduler(3), False),
+                                 (EagerScheduler(), True)):
+            runtime = Runtime(
+                {pid: Chatty(6) for pid in range(6)}, scheduler, seed=11
+            )
+            runtime.run()
+            assert runtime.network._index.live is built, scheduler.name
 
 
 class TestZoo:

@@ -225,6 +225,9 @@ class SessionHost(Process):
     def on_message(self, ctx: Context, sender: int, payload: Any) -> None:
         self._ctx = ctx
         try:
+            # Sends queued outside an activation go out first. Nothing
+            # queues during dispatch: ``session_send`` sends directly while
+            # ``_ctx`` is set.
             if self._pending_sends:
                 self._flush_pending()
             if (
@@ -250,8 +253,6 @@ class SessionHost(Process):
                         return
                     session = self.open_session(sid, cls)
                 session.handle(sender, inner)
-                if self._pending_sends:
-                    self._flush_pending()
             else:
                 self.on_plain_message(ctx, sender, payload)
         finally:

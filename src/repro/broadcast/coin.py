@@ -14,16 +14,16 @@ parties, whose round structure does not depend on predicting the coin).
 
 from __future__ import annotations
 
-import hashlib
 from typing import Any
 
 from repro.broadcast.base import Session, register_session
 from repro.errors import ProtocolError
+from repro.utils.sha256 import sha256
 
 
 def coin_value(seed: int, tag: Any, modulus: int = 2) -> int:
     """The dealt common coin for ``tag``: uniform in range(modulus)."""
-    digest = hashlib.sha256(f"{seed}|{tag!r}".encode()).digest()
+    digest = sha256(f"{seed}|{tag!r}".encode()).digest()
     return int.from_bytes(digest[:8], "big") % modulus
 
 

@@ -30,7 +30,6 @@ is likewise captured into the record's ``error`` field.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import signal
 import threading
@@ -477,6 +476,9 @@ class ExperimentRunner:
         if self._pool is not None and self._pool_size < processes:
             self._teardown_pool()
         if self._pool is None:
+            # Imported here, its only use: a serial run never loads it.
+            import multiprocessing
+
             ctx = multiprocessing.get_context()
             self._pool = ctx.Pool(
                 processes,

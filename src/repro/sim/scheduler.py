@@ -91,14 +91,14 @@ class RandomScheduler(Scheduler):
 
     def choose(self, in_transit: TransitPool, step: int) -> Optional[int]:
         if isinstance(in_transit, TransitView):
-            size = len(in_transit)
-            if not size:
+            uids = in_transit.uids()
+            if not uids:
                 return None
             # The pool's uids are ascending: same draw as sorting views.
             # randrange(m) consumes the rng exactly like choice()'s
             # _randbelow(m), so indexing the sorted uid list picks the
             # identical uid.
-            return in_transit.nth_uid(self._rng.randrange(size))
+            return uids[self._rng.randrange(len(uids))]
         if not in_transit:
             return None
         return self._rng.choice(sorted(m.uid for m in in_transit))
@@ -212,8 +212,8 @@ class BatchRandomScheduler(Scheduler):
 
     def choose(self, in_transit: TransitPool, step: int) -> Optional[int]:
         if isinstance(in_transit, TransitView):
-            size = len(in_transit)
-            if not size:
+            uids = in_transit.uids()
+            if not uids:
                 return None
             if self._active_batch is not None:
                 uid = in_transit.oldest_in_batch(self._active_batch)
@@ -222,7 +222,7 @@ class BatchRandomScheduler(Scheduler):
             # choice() indexes the list, so drawing from ascending uids
             # consumes the RNG exactly like drawing from sorted views
             # (randrange == choice's _randbelow; see RandomScheduler).
-            uid = in_transit.nth_uid(self._rng.randrange(size))
+            uid = uids[self._rng.randrange(len(uids))]
             self._active_batch = in_transit.batch_of(uid)
             return uid
         if not in_transit:

@@ -28,11 +28,11 @@ mtimes without changing meaning.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from typing import Optional
 
 from repro.games.registry import FILE_GAME_PREFIX
+from repro.utils.sha256 import sha256
 
 FINGERPRINT_VERSION = 3
 """Bump when the fingerprint layout changes: old store rows simply stop
@@ -50,7 +50,7 @@ def canonical_json(data) -> str:
 
 
 def digest(data) -> str:
-    return hashlib.sha256(canonical_json(data).encode("utf-8")).hexdigest()
+    return sha256(canonical_json(data).encode("utf-8")).hexdigest()
 
 
 def game_content_stamp(game_name: str) -> Optional[str]:
@@ -65,7 +65,7 @@ def game_content_stamp(game_name: str) -> Optional[str]:
     path = game_name[len(FILE_GAME_PREFIX):]
     try:
         with open(path, "rb") as fh:
-            return hashlib.sha256(fh.read()).hexdigest()
+            return sha256(fh.read()).hexdigest()
     except OSError:
         return "missing"
 

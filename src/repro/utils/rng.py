@@ -9,9 +9,10 @@ streams statistically independent of each other.
 
 from __future__ import annotations
 
-import hashlib
 import random
 from typing import Iterable
+
+from repro.utils.sha256 import sha256
 
 
 _SEED_MEMO: dict[tuple, int] = {}
@@ -33,7 +34,7 @@ def derive_seed(master: int, *labels: object) -> int:
     cached = _SEED_MEMO.get(key)
     if cached is not None:
         return cached
-    hasher = hashlib.sha256()
+    hasher = sha256()
     hasher.update(str(master).encode())
     for label_repr in key[1]:
         hasher.update(b"/")

@@ -2,9 +2,12 @@
 
 Every ``repro`` command, sweep, audit and benchmark worker is a short
 process, so what it imports is part of its cost. numpy and SciPy
-serve only the exact solution-concept checkers, and asyncio only the TCP
-runtime. This test runs the hot paths in a fresh interpreter and asserts
-none of the three was loaded, then calls an exact checker to show the
+serve only the exact solution-concept checkers, asyncio only the TCP
+runtime and ``multiprocessing`` only the parallel runner's pool, and
+SHA-256 comes from CPython's built-in module, so no hot path needs
+OpenSSL's ``_hashlib``. This test runs the hot paths in a fresh
+interpreter and asserts none of the five was loaded, then calls an
+exact checker, builds a pool and hashes through ``hashlib`` to show the
 guard is not vacuous.
 """
 
@@ -27,7 +30,7 @@ from repro.experiments.registry import get_scenario
 from repro.experiments.runner import ExperimentRunner
 from repro.store import ResultStore
 
-HEAVY = ("numpy", "scipy", "asyncio")
+HEAVY = ("numpy", "scipy", "asyncio", "_hashlib", "multiprocessing")
 
 runner = ExperimentRunner()
 cells = [
@@ -63,6 +66,17 @@ from repro.games.library import consensus_game
 game = consensus_game(4).game
 assert check_nash(game, StrategyProfile([ConstantStrategy(0)] * 4)).holds
 assert "scipy" in sys.modules, "the exact checker ran without SciPy"
+
+with ExperimentRunner(parallel=True, processes=2) as parallel:
+    result = parallel.run(get_scenario("chicken-mediator").replace(
+        seed_count=2))
+assert result.stats["pool"]["used"] and all(r.ok for r in result.records)
+assert "multiprocessing" in sys.modules, "the pool ran without multiprocessing"
+
+import hashlib
+
+hashlib.sha256(b"cold start")
+assert "_hashlib" in sys.modules, "hashlib.sha256 ran without _hashlib"
 print("cold start OK")
 """
 

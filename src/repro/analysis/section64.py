@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 from repro.games.library import BOT, GameSpec
 from repro.mediator.games import MediatorGame
 from repro.mediator.protocol import mediator_pid
-from repro.sim.network import MessageView, TransitView
+from repro.sim.network import TransitView
 from repro.sim.process import Context, Process
 from repro.sim.scheduler import FifoScheduler, Scheduler
 
@@ -148,19 +148,13 @@ class ColludingScheduler(Scheduler):
     def is_relaxed(self) -> bool:
         return True
 
-    def choose(self, in_transit: Sequence[MessageView], step: int):
+    def choose(self, in_transit: TransitView, step: int):
         if not self._tripped:
-            if isinstance(in_transit, TransitView):
-                # The pool's self-message index is empty on almost every
-                # step, so this is O(1).
-                self._tripped = not self.coalition.isdisjoint(
-                    in_transit.self_senders()
-                )
-            else:
-                self._tripped = any(
-                    m.sender == m.recipient and m.sender in self.coalition
-                    for m in in_transit
-                )
+            # The pool's self-message index is empty on almost every step,
+            # so this is O(1).
+            self._tripped = not self.coalition.isdisjoint(
+                in_transit.self_senders()
+            )
         if self._tripped:
             return None
         return self._base.choose(in_transit, step)

@@ -5,9 +5,10 @@ with the spec's ``mediator_fn``/``mediator_dist``. The builder is picked by
 game-name prefix, so :func:`mediator_circuit_for` checks every circuit it
 builds against the spec's own ``mediator_dist`` before handing it out: a
 ``file:`` game whose name borrows a library prefix must not run that
-library game's mediator. Inputs are encoded types (``spec.encode_type``),
-outputs encoded actions (``spec.decode_action``), one private output wire
-per player labelled ``act@<pid>``.
+library game's mediator. Builders that need parameters read them from the
+spec's mediator rule, never from its name. Inputs are encoded types
+(``spec.encode_type``), outputs encoded actions (``spec.decode_action``),
+one private output wire per player labelled ``act@<pid>``.
 """
 
 from __future__ import annotations
@@ -30,6 +31,17 @@ def default_inputs(spec: GameSpec) -> dict[int, int]:
     never arrives: its type in the type space's first profile."""
     first = spec.game.type_space.profiles()[0]
     return {pid: spec.encode_type(first[pid]) for pid in range(spec.game.n)}
+
+
+def _rule_params(spec: GameSpec, rule: str) -> dict:
+    """The parameters of the spec's mediator rule, which must be ``rule``."""
+    mediator = spec.definition.mediator if spec.definition is not None else {}
+    if mediator.get("rule") != rule:
+        raise MediatorError(
+            f"the circuit for spec {spec.name!r} needs a {rule!r} mediator "
+            f"rule, not {mediator.get('rule')!r}"
+        )
+    return mediator.get("params", {})
 
 
 def _coin_circuit(spec: GameSpec, field: GF) -> Circuit:
@@ -59,8 +71,7 @@ def _free_rider_circuit(spec: GameSpec, field: GF) -> Circuit:
     Encoded actions: share=0, ride=1 (matching the spec's decoding).
     """
     n = spec.game.n
-    # Recover m from the spec name: free-rider(n=4,m=2).
-    m = int(spec.name.split("m=")[1].rstrip(")"))
+    m = int(_rule_params(spec, "rotate-duty")["count"])
     subsets = list(itertools.combinations(range(n), m))
     circuit = Circuit(field, f"free-rider-mediator(n={n},m={m})")
     pick = circuit.randint(len(subsets))
@@ -88,16 +99,16 @@ def _shamir_circuit(spec: GameSpec, field: GF) -> Circuit:
     """
     from repro.field import lagrange_coefficients_at_zero
 
-    name = spec.name  # shamir-secret(n=5,q=5,d=2)
-    q = int(name.split("q=")[1].split(",")[0])
-    d = int(name.split("d=")[1].rstrip(")"))
+    params = _rule_params(spec, "shamir-decode")
+    q = int(params["modulus"])
+    d = int(params["degree"])
     n = spec.game.n
     if field.p % q == 0:
         raise MediatorError("MPC field must differ from the share modulus")
     small = GF(q)
     xs = list(range(1, d + 2))
     lambdas = lagrange_coefficients_at_zero(small, xs)
-    circuit = Circuit(field, f"shamir-mediator({name})")
+    circuit = Circuit(field, f"shamir-mediator({spec.name})")
     ins = [circuit.input(pid) for pid in range(d + 1)]
     # Compute sum(lambda_i * share_i) mod q via lookup of each scaled term.
     domain = list(range(q))

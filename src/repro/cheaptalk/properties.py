@@ -115,18 +115,19 @@ def check_bisimulation(
 ) -> PropertyReport:
     """(ε,t)-bisimulation: emulation in both directions over the family.
 
-    Pairs are interpreted symmetrically: each (ct, med) pair must match in
-    outcome distribution, and each mediator-game adversary must likewise be
-    matched by its cheap-talk partner — over a finite family these coincide
-    with two emulation checks with the pairing reversed.
+    Each (ct, med) pair must match in outcome distribution, so every
+    cheap-talk adversary is matched by its mediator-game partner and every
+    mediator-game adversary by its cheap-talk partner. Outcome-map
+    distance is symmetric, so both directions are one emulation check per
+    pair; the second leg re-samples the same pairs at ``seed + 97``, and
+    both samplings must pass.
     """
     forward = check_emulation(
         ct_game, mediator_game, schedulers, adversary_pairs, epsilon,
         samples_per_scheduler, seed,
     )
     backward = check_emulation(
-        ct_game, mediator_game, schedulers,
-        [(ct, med) for (ct, med) in adversary_pairs], epsilon,
+        ct_game, mediator_game, schedulers, adversary_pairs, epsilon,
         samples_per_scheduler, seed + 97,
     )
     report = PropertyReport(

@@ -570,10 +570,12 @@ class ExperimentRunner:
         if active_store is not None:
             # Lazy import: repro.store imports this module at package
             # import time, so the reverse edge must not run at load.
-            from repro.store.fingerprint import run_fingerprint
+            from repro.store.fingerprint import game_stamps, run_fingerprint
 
+            stamps = game_stamps(spec)
             fingerprints = {
-                task.index: run_fingerprint(spec, task) for task in tasks
+                task.index: run_fingerprint(spec, task, stamps)
+                for task in tasks
             }
             stored = active_store.fetch_records(fingerprints.values())
             missing = []

@@ -3,10 +3,11 @@
 Channels are secure and private point-to-point links: the scheduler observes
 *that* a message exists (sender, recipient, send order) but never its
 payload — mirroring the paper's assumption that the environment cannot read
-messages (Section 6.1). Scheduler code therefore only ever sees
-:class:`MessageView` objects — either inside a plain sequence (tests build
-those by hand) or through a :class:`TransitView`, the zero-copy facade the
-kernel hands to schedulers.
+messages (Section 6.1). Scheduler code therefore only ever sees a
+:class:`TransitView`, the zero-copy facade over a pool, and the
+:class:`MessageView` objects it yields. Every pool a scheduler is handed is
+one: the whole in-transit pool, or a small :class:`Network` a timing model
+or a filtering scheduler fills with the messages it lets through.
 
 The pool keeps each in-transit message as a plain record tuple
 ``(uid, sender, recipient, payload, send_step, batch)`` — the field order
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator, Optional, Union
+from typing import Any, Iterable, Iterator, Optional
 
 START_SIGNAL = "__START__"
 """Payload of the synthetic game-start signal every process receives first."""
@@ -50,15 +51,6 @@ class Message:
     Relaxed schedulers must drop or deliver mediator batches atomically
     (Section 5), which is the hook this field exists for.
     """
-
-    def view(self) -> "MessageView":
-        return MessageView(
-            uid=self.uid,
-            sender=self.sender,
-            recipient=self.recipient,
-            send_step=self.send_step,
-            batch=self.batch,
-        )
 
     def record(self) -> tuple:
         """The pool's record of this message."""
@@ -166,14 +158,13 @@ class PoolIndex:
 class TransitView:
     """Read-only, allocation-free scheduler's view of the in-transit pool.
 
-    Behaves as a ``Sequence[MessageView]`` (``len``/iteration/indexing) so
-    legacy scheduler code keeps working, and exposes indexed queries —
+    ``len``, truthiness and iteration (:class:`MessageView` objects,
+    oldest first) cover a plain scan; the indexed queries —
     :meth:`has_uid`, :meth:`min_uid`, :meth:`nth_uid`, :meth:`oldest_to`,
     :meth:`oldest_from`, :meth:`oldest_in_batch`, :meth:`self_senders` —
-    that answer in O(1) from the network's sorted uid list and its
+    answer in O(1) from the network's sorted uid list and its
     :class:`PoolIndex`, which the first query that needs it builds.
-    Schedulers should prefer the indexed queries; payloads are never
-    reachable through this object.
+    Payloads are never reachable through this object.
 
     The view holds the pool's record map, uid list and index, not the
     :class:`Network`, so the network and its view form no reference
@@ -188,8 +179,6 @@ class TransitView:
         self._uids = uids
         self._index = index
 
-    # -- Sequence[MessageView] compatibility --------------------------------
-
     def __len__(self) -> int:
         return len(self._records)
 
@@ -200,12 +189,6 @@ class TransitView:
         records = self._records
         snapshot = [records[uid] for uid in self._uids]
         return map(_view_of, snapshot)
-
-    def __getitem__(self, index):
-        records = self._records
-        if isinstance(index, slice):
-            return [_view_of(records[uid]) for uid in self._uids[index]]
-        return _view_of(records[self._uids[index]])
 
     # -- indexed queries -----------------------------------------------------
 
@@ -266,12 +249,6 @@ class TransitView:
         a coalition is one ``isdisjoint`` per step.
         """
         return self._index.ready().self_counts.keys()
-
-
-TransitPool = Union[TransitView, "Iterable[MessageView]"]
-"""What a scheduler's ``choose`` may receive: the kernel passes a
-:class:`TransitView`; tests and wrapping schedulers may pass plain
-sequences of :class:`MessageView`."""
 
 
 class Network:
@@ -402,10 +379,6 @@ class Network:
         """In-transit messages, oldest first."""
         records = self.records
         return [Message(*records[uid]) for uid in self._uids]
-
-    def in_transit_views(self) -> list[MessageView]:
-        records = self.records
-        return [_view_of(records[uid]) for uid in self._uids]
 
     def __len__(self) -> int:
         return len(self.records)

@@ -315,7 +315,7 @@ class Runtime:
                     empty = not in_transit
                 else:
                     pool = self.timing.eligible(self.network, self._step)
-                    empty = not len(pool)
+                    empty = not pool
                 if empty:
                     if self.timing.advance(self):
                         continue
@@ -491,7 +491,7 @@ class Runtime:
                 post(uid, ENVIRONMENT_PID, pid)
             self._env_sent += 1
 
-    def _forced_batch_completion(self, pool=None) -> Optional[int]:
+    def _forced_batch_completion(self, pool: TransitView) -> Optional[int]:
         """Uid of a message that must still be delivered (batch atomicity).
 
         Mediator batches must be all-or-none under relaxed schedulers; start
@@ -503,32 +503,17 @@ class Runtime:
         paper's hard guarantees outrank the timing bound when a relaxed
         environment stops mid-batch.
         """
-        if pool is not None:
-            forced = self._forced_candidate(pool)
-            if forced is not None:
-                return forced
+        forced = self._forced_candidate(pool)
+        if forced is not None:
+            return forced
         return self._forced_candidate(self.network.view())
 
-    def _forced_candidate(self, views) -> Optional[int]:
-        if isinstance(views, TransitView):
-            return self._forced_candidate_indexed(views)
-        candidates = []
-        for view in views:
-            # The environment only ever injects start signals, so the
-            # sender check identifies them without reading payloads.
-            if view.sender == ENVIRONMENT_PID:
-                if view.recipient not in self.halted:
-                    candidates.append(view.uid)
-            elif view.batch in self._delivered_mediator_batches:
-                candidates.append(view.uid)
-        if not candidates:
-            return None
-        return min(candidates)
-
-    def _forced_candidate_indexed(self, views: TransitView) -> Optional[int]:
-        """The same forced-delivery obligation, answered from the pool's
-        buckets instead of a full scan — a relaxed scheduler that has
-        stopped delivering otherwise pays O(in-transit) per drain step.
+    def _forced_candidate(self, views: TransitView) -> Optional[int]:
+        """The oldest message in ``views`` that must still be delivered,
+        answered from the pool's buckets: a relaxed scheduler that has
+        stopped delivering would otherwise pay O(in-transit) per drain
+        step. The environment only ever injects start signals, so the
+        sender identifies them without reading payloads.
         """
         candidates = [
             view.uid

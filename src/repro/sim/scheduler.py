@@ -9,14 +9,13 @@ the Section 5 relaxed environment that may drop messages — subject to the
 all-or-none rule for batches emitted by the mediator in a single step.
 
 Schedulers only ever see message *metadata* (sender / recipient / ordering),
-never payloads: channels are private. The kernel hands ``choose`` a
+never payloads: channels are private. ``choose`` is always handed a
 :class:`~repro.sim.network.TransitView` — an indexed, allocation-free facade
-over the in-transit pool — and every scheduler here answers from its O(1)
-bucket queries. A plain ``Sequence[MessageView]`` is also accepted (tests
-and wrapping schedulers build those), via the legacy scan paths. The
-covert-channel construction of Section 6.1 (communicating with the
-environment through message *counts*) remains expressible, and
-``repro.analysis.deviations`` exercises it.
+over a pool: the whole in-transit pool, or a pool of just the messages a
+timing model or a drop plan lets through — and every scheduler here
+answers from its O(1) bucket queries. The covert-channel construction of Section 6.1
+(communicating with the environment through message *counts*) remains
+expressible, and ``repro.analysis.deviations`` exercises it.
 
 :class:`LatencyScheduler` is the environment of ``runtime="net"`` runs: a
 seeded :class:`~repro.net.latency.LatencyModel` gives every message an
@@ -31,7 +30,7 @@ from typing import Iterable, Optional
 
 from repro.errors import SchedulerError
 from repro.net.latency import LatencyModel, latency_from_name
-from repro.sim.network import MessageView, TransitPool, TransitView
+from repro.sim.network import Message, Network, TransitView
 
 
 class Scheduler(ABC):
@@ -50,7 +49,7 @@ class Scheduler(ABC):
         """Prepare for a fresh run (re-seed any internal randomness)."""
 
     @abstractmethod
-    def choose(self, in_transit: TransitPool, step: int) -> Optional[int]:
+    def choose(self, in_transit: TransitView, step: int) -> Optional[int]:
         """Return the uid of the message to deliver next.
 
         ``None`` is only legal for relaxed schedulers and means "stop
@@ -69,12 +68,8 @@ class FifoScheduler(Scheduler):
 
     name = "fifo"
 
-    def choose(self, in_transit: TransitPool, step: int) -> Optional[int]:
-        if isinstance(in_transit, TransitView):
-            return in_transit.min_uid()
-        if not in_transit:
-            return None
-        return min(in_transit, key=lambda m: m.uid).uid
+    def choose(self, in_transit: TransitView, step: int) -> Optional[int]:
+        return in_transit.min_uid()
 
 
 class RandomScheduler(Scheduler):
@@ -89,19 +84,14 @@ class RandomScheduler(Scheduler):
     def reset(self, seed: int) -> None:
         self._rng = random.Random((self._seed, seed).__hash__())
 
-    def choose(self, in_transit: TransitPool, step: int) -> Optional[int]:
-        if isinstance(in_transit, TransitView):
-            uids = in_transit.uids()
-            if not uids:
-                return None
-            # The pool's uids are ascending: same draw as sorting views.
-            # randrange(m) consumes the rng exactly like choice()'s
-            # _randbelow(m), so indexing the sorted uid list picks the
-            # identical uid.
-            return uids[self._rng.randrange(len(uids))]
-        if not in_transit:
+    def choose(self, in_transit: TransitView, step: int) -> Optional[int]:
+        uids = in_transit.uids()
+        if not uids:
             return None
-        return self._rng.choice(sorted(m.uid for m in in_transit))
+        # The pool's uids are ascending, and randrange(m) consumes the rng
+        # exactly like choice()'s _randbelow(m): this is the uid
+        # choice(sorted(uids)) draws.
+        return uids[self._rng.randrange(len(uids))]
 
 
 class EagerScheduler(Scheduler):
@@ -119,26 +109,18 @@ class EagerScheduler(Scheduler):
     def reset(self, seed: int) -> None:
         self._current = None
 
-    def choose(self, in_transit: TransitPool, step: int) -> Optional[int]:
-        if isinstance(in_transit, TransitView):
-            if not in_transit:
-                return None
-            uid = (
-                in_transit.oldest_to(self._current)
-                if self._current is not None
-                else None
-            )
-            if uid is None:
-                self._current = min(in_transit.recipients())
-                uid = in_transit.oldest_to(self._current)
-            return uid
+    def choose(self, in_transit: TransitView, step: int) -> Optional[int]:
         if not in_transit:
             return None
-        to_current = [m for m in in_transit if m.recipient == self._current]
-        if not to_current:
-            self._current = min(m.recipient for m in in_transit)
-            to_current = [m for m in in_transit if m.recipient == self._current]
-        return min(to_current, key=lambda m: m.uid).uid
+        uid = (
+            in_transit.oldest_to(self._current)
+            if self._current is not None
+            else None
+        )
+        if uid is None:
+            self._current = min(in_transit.recipients())
+            uid = in_transit.oldest_to(self._current)
+        return uid
 
 
 class LaggardScheduler(Scheduler):
@@ -157,38 +139,27 @@ class LaggardScheduler(Scheduler):
         self.lag_senders = lag_senders
         self.name = f"laggard{sorted(self.lagging)}"
 
-    def _is_slow(self, m: MessageView) -> bool:
-        if m.recipient in self.lagging:
-            return True
-        return self.lag_senders and m.sender in self.lagging
-
-    def choose(self, in_transit: TransitPool, step: int) -> Optional[int]:
-        if isinstance(in_transit, TransitView):
-            if not in_transit:
-                return None
-            best: Optional[int] = None
-            for recipient in in_transit.recipients():
-                if recipient in self.lagging:
-                    continue
-                if self.lag_senders:
-                    uid = next(
-                        (
-                            v.uid
-                            for v in in_transit.to_recipient(recipient)
-                            if v.sender not in self.lagging
-                        ),
-                        None,
-                    )
-                else:
-                    uid = in_transit.oldest_to(recipient)
-                if uid is not None and (best is None or uid < best):
-                    best = uid
-            return best if best is not None else in_transit.min_uid()
+    def choose(self, in_transit: TransitView, step: int) -> Optional[int]:
         if not in_transit:
             return None
-        fast = [m for m in in_transit if not self._is_slow(m)]
-        pool = fast if fast else list(in_transit)
-        return min(pool, key=lambda m: m.uid).uid
+        best: Optional[int] = None
+        for recipient in in_transit.recipients():
+            if recipient in self.lagging:
+                continue
+            if self.lag_senders:
+                uid = next(
+                    (
+                        v.uid
+                        for v in in_transit.to_recipient(recipient)
+                        if v.sender not in self.lagging
+                    ),
+                    None,
+                )
+            else:
+                uid = in_transit.oldest_to(recipient)
+            if uid is not None and (best is None or uid < best):
+                best = uid
+        return best if best is not None else in_transit.min_uid()
 
 
 class BatchRandomScheduler(Scheduler):
@@ -210,30 +181,19 @@ class BatchRandomScheduler(Scheduler):
         self._rng = random.Random((self._seed, seed).__hash__())
         self._active_batch = None
 
-    def choose(self, in_transit: TransitPool, step: int) -> Optional[int]:
-        if isinstance(in_transit, TransitView):
-            uids = in_transit.uids()
-            if not uids:
-                return None
-            if self._active_batch is not None:
-                uid = in_transit.oldest_in_batch(self._active_batch)
-                if uid is not None:
-                    return uid
-            # choice() indexes the list, so drawing from ascending uids
-            # consumes the RNG exactly like drawing from sorted views
-            # (randrange == choice's _randbelow; see RandomScheduler).
-            uid = uids[self._rng.randrange(len(uids))]
-            self._active_batch = in_transit.batch_of(uid)
-            return uid
-        if not in_transit:
+    def choose(self, in_transit: TransitView, step: int) -> Optional[int]:
+        uids = in_transit.uids()
+        if not uids:
             return None
         if self._active_batch is not None:
-            same = [m for m in in_transit if m.batch == self._active_batch]
-            if same:
-                return min(same, key=lambda m: m.uid).uid
-        chosen = self._rng.choice(sorted(in_transit, key=lambda m: m.uid))
-        self._active_batch = chosen.batch
-        return chosen.uid
+            uid = in_transit.oldest_in_batch(self._active_batch)
+            if uid is not None:
+                return uid
+        # The same draw as RandomScheduler's: the uid choice(sorted(uids))
+        # picks.
+        uid = uids[self._rng.randrange(len(uids))]
+        self._active_batch = in_transit.batch_of(uid)
+        return uid
 
 
 class RushingScheduler(Scheduler):
@@ -251,22 +211,16 @@ class RushingScheduler(Scheduler):
         self.favoured = frozenset(favoured)
         self.name = f"rushing{sorted(self.favoured)}"
 
-    def choose(self, in_transit: TransitPool, step: int) -> Optional[int]:
-        if isinstance(in_transit, TransitView):
-            if not in_transit:
-                return None
-            best: Optional[int] = None
-            for sender in in_transit.senders():
-                if sender in self.favoured:
-                    uid = in_transit.oldest_from(sender)
-                    if uid is not None and (best is None or uid < best):
-                        best = uid
-            return best if best is not None else in_transit.min_uid()
+    def choose(self, in_transit: TransitView, step: int) -> Optional[int]:
         if not in_transit:
             return None
-        fast = [m for m in in_transit if m.sender in self.favoured]
-        pool = fast if fast else list(in_transit)
-        return min(pool, key=lambda m: m.uid).uid
+        best: Optional[int] = None
+        for sender in in_transit.senders():
+            if sender in self.favoured:
+                uid = in_transit.oldest_from(sender)
+                if uid is not None and (best is None or uid < best):
+                    best = uid
+        return best if best is not None else in_transit.min_uid()
 
 
 class LatencyScheduler(Scheduler):
@@ -302,7 +256,7 @@ class LatencyScheduler(Scheduler):
         wire = self._wire
         wire.post(uid, self.latency.delay(sender, recipient, wire.now))
 
-    def choose(self, in_transit: TransitPool, step: int) -> Optional[int]:
+    def choose(self, in_transit: TransitView, step: int) -> Optional[int]:
         return self._wire.pop(in_transit.has_uid)
 
 
@@ -332,7 +286,7 @@ class RelaxedScheduler(Scheduler):
     def is_relaxed(self) -> bool:
         return True
 
-    def choose(self, in_transit: TransitPool, step: int) -> Optional[int]:
+    def choose(self, in_transit: TransitView, step: int) -> Optional[int]:
         if self._delivered >= self.deliveries_before_stop:
             return None
         uid = self.base.choose(in_transit, step)
@@ -344,10 +298,11 @@ class RelaxedScheduler(Scheduler):
 class DropPlanRelaxedScheduler(Scheduler):
     """Relaxed scheduler that drops exactly a planned set of messages.
 
-    ``should_drop(view)`` marks messages never to be delivered. The runtime's
-    batch all-or-none enforcement still applies to mediator batches, so a
-    plan that splits a mediator batch is corrected at runtime (and flagged
-    in the trace).
+    ``should_drop(view)`` marks messages never to be delivered; the base
+    scheduler chooses from a pool of the rest. The runtime's batch
+    all-or-none enforcement still applies to mediator batches, so a plan
+    that splits a mediator batch is corrected at runtime (and flagged in
+    the trace).
     """
 
     name = "relaxed-plan"
@@ -363,11 +318,16 @@ class DropPlanRelaxedScheduler(Scheduler):
     def is_relaxed(self) -> bool:
         return True
 
-    def choose(self, in_transit: TransitPool, step: int) -> Optional[int]:
-        deliverable = [m for m in in_transit if not self.should_drop(m)]
+    def choose(self, in_transit: TransitView, step: int) -> Optional[int]:
+        deliverable = Network()
+        deliverable.reinstate(
+            Message(m.uid, m.sender, m.recipient, None, m.send_step, m.batch)
+            for m in in_transit
+            if not self.should_drop(m)
+        )
         if not deliverable:
             return None
-        return self.base.choose(deliverable, step)
+        return self.base.choose(deliverable.view(), step)
 
 
 def scheduler_zoo(seed: int = 0, parties: Optional[Iterable[int]] = None) -> list[Scheduler]:

@@ -25,6 +25,12 @@ A :class:`TimingModel` owns the first question. Three models ship:
   scheduler's hand; ``d → ∞`` recovers :class:`Asynchronous`, ``d = 1`` is
   nearly FIFO.
 
+Whatever the model, :meth:`TimingModel.eligible` returns a
+:class:`~repro.sim.network.TransitView`: the whole in-transit pool, or the
+view of a :class:`~repro.sim.network.Network` of the model's own that holds
+exactly the eligible messages (the lock-step round, the bounded-delay
+overdue class), so a scheduler has one kind of pool to answer from.
+
 Timing models are addressable by JSON-safe names (``"async"``,
 ``"lockstep"``, ``"bounded-16"``, ``"bounded-16@200"``) via
 :func:`timing_from_name`, which is what lets
@@ -33,9 +39,10 @@ Timing models are addressable by JSON-safe names (``"async"``,
 already sweep schedulers.
 
 To add a new model: subclass :class:`TimingModel` (implement
-:meth:`~TimingModel.eligible`, and :meth:`~TimingModel.advance` if the
-model has a notion of time passing while no message is deliverable), then
-:func:`register_timing` a name for it.
+:meth:`~TimingModel.eligible` to return a ``TransitView``, and
+:meth:`~TimingModel.advance` if the model has a notion of time passing
+while no message is deliverable), then :func:`register_timing` a name for
+it.
 """
 
 from __future__ import annotations
@@ -44,7 +51,7 @@ import heapq
 from typing import Callable, Optional
 
 from repro.errors import SimulationError, StepLimitExceeded
-from repro.sim.network import Message, Network, TransitPool
+from repro.sim.network import Message, Network, TransitView
 
 ENVIRONMENT_PID = -1
 """Synthetic sender id for environment-injected signals (start signals)."""
@@ -64,7 +71,7 @@ class TimingModel:
     def on_deliver(self, msg: Message, step: int) -> None:
         """Observe a delivery (retire bookkeeping for ``msg.uid``)."""
 
-    def eligible(self, network: Network, step: int) -> TransitPool:
+    def eligible(self, network: Network, step: int) -> TransitView:
         """The pool the scheduler may choose from at this step."""
         raise NotImplementedError
 
@@ -86,7 +93,7 @@ class Asynchronous(TimingModel):
 
     name = "async"
 
-    def eligible(self, network: Network, step: int) -> TransitPool:
+    def eligible(self, network: Network, step: int) -> TransitView:
         return network.view()
 
 
@@ -104,6 +111,11 @@ class LockStep(TimingModel):
 
     Environment-injected messages (start signals) are eligible immediately,
     in round 0, before any ticks.
+
+    The round's still-deliverable messages form a pool of their own (a
+    :class:`~repro.sim.network.Network` that only ever receives messages
+    through ``reinstate``), kept current as messages are delivered or
+    dropped, so :meth:`eligible` hands out its view without rebuilding it.
     """
 
     name = "lockstep"
@@ -113,17 +125,15 @@ class LockStep(TimingModel):
             raise SimulationError("max_rounds must be >= 1")
         self.max_rounds = max_rounds
         self.round = 0
-        self._future: dict[int, Message] = {}
-        # uid -> view of this round's still-deliverable messages, maintained
-        # incrementally so eligible() never rebuilds it from scratch.
-        self._views: dict[int, "object"] = {}
+        self._future: list[Message] = []
+        self._pool = Network()
         self._dropped_seen = 0
         self._ticked = True  # round 0 activations happen via start signals
 
     def reset(self, runtime) -> None:
         self.round = 0
-        self._future = {}
-        self._views = {}
+        self._future = []
+        self._pool = Network()
         self._dropped_seen = 0
         self._ticked = True
 
@@ -133,25 +143,26 @@ class LockStep(TimingModel):
 
     def on_send(self, msg: Message, step: int) -> None:
         if msg.sender == ENVIRONMENT_PID:
-            self._views[msg.uid] = msg.view()
+            self._pool.reinstate([msg])
         else:
-            self._future[msg.uid] = msg
+            self._future.append(msg)
 
     def on_deliver(self, msg: Message, step: int) -> None:
-        self._views.pop(msg.uid, None)
+        # A forced delivery (batch atomicity) may take a message that is
+        # not in this round's pool.
+        if msg.uid in self._pool:
+            self._pool.drop(msg.uid)
 
-    def eligible(self, network: Network, step: int) -> TransitPool:
-        views = self._views
+    def eligible(self, network: Network, step: int) -> TransitView:
+        pool = self._pool
         if network.total_dropped != self._dropped_seen:
             # Dropped messages (halted recipients, relaxed drops) leave
             # stale uids behind; prune only when a drop actually happened.
             self._dropped_seen = network.total_dropped
-            stale = [uid for uid in views if uid not in network]
+            stale = [uid for uid in pool.records if uid not in network]
             for uid in stale:
-                del views[uid]
-        # A dict view supports len/iteration/truthiness — everything the
-        # scheduler paths need — so no per-step list copy is made.
-        return views.values()
+                pool.drop(uid)
+        return pool.view()
 
     def advance(self, runtime) -> bool:
         if not self._ticked:
@@ -161,13 +172,9 @@ class LockStep(TimingModel):
             return True
         if self._future:
             network = runtime.network
-            views = {
-                uid: m.view()
-                for uid, m in self._future.items()
-                if uid in network
-            }
-            self._future = {}
-            if not views:
+            arrived = [m for m in self._future if m.uid in network]
+            self._future = []
+            if not arrived:
                 # Every message of the next round was discarded (recipients
                 # halted): no live process has mail, so the round structure
                 # ends here — matching the legacy synchronous loop, which
@@ -181,7 +188,8 @@ class LockStep(TimingModel):
                     )
                 return False
             self.round += 1
-            self._views = views
+            # advance() runs only once the round's pool has drained.
+            self._pool.reinstate(arrived)
             self._ticked = False
             return True
         return False
@@ -227,7 +235,7 @@ class BoundedDelay(TimingModel):
     def on_deliver(self, msg: Message, step: int) -> None:
         self._overdue.pop(msg.uid, None)
 
-    def eligible(self, network: Network, step: int) -> TransitPool:
+    def eligible(self, network: Network, step: int) -> TransitView:
         heap = self._deadlines
         overdue = self._overdue
         while heap and heap[0][0] <= step:
@@ -246,12 +254,14 @@ class BoundedDelay(TimingModel):
             # bound a real constraint instead of a large free-for-all pool.
             values = iter(overdue.values())
             first_deadline, first_msg = next(values)
-            views = [first_msg.view()]
+            due = [first_msg]
             for deadline, msg in values:
                 if deadline != first_deadline:
                     break
-                views.append(msg.view())
-            return views
+                due.append(msg)
+            pool = Network()
+            pool.reinstate(due)
+            return pool.view()
         return network.view()
 
 

@@ -70,18 +70,26 @@ def game_content_stamp(game_name: str) -> Optional[str]:
         return "missing"
 
 
-def _game_stamps(spec) -> dict:
-    """Content stamps for every ``file:`` game the spec can touch."""
+def game_stamps(spec) -> dict:
+    """Content stamps for every ``file:`` game the spec can touch, each
+    distinct name read and hashed once."""
     stamps = {}
-    for name in (spec.game,) + tuple(spec.game_axis):
+    for name in dict.fromkeys((spec.game,) + tuple(spec.game_axis)):
         stamp = game_content_stamp(name)
         if stamp is not None:
             stamps[name] = stamp
     return stamps
 
 
-def run_fingerprint(spec, task) -> str:
-    """The store key of one grid cell's :class:`RunRecord`."""
+def run_fingerprint(spec, task, stamps: Optional[dict] = None) -> str:
+    """The store key of one grid cell's :class:`RunRecord`.
+
+    ``stamps`` is :func:`game_stamps` of ``spec``, computed here when not
+    given: a grid computes it once and passes it to every cell, so each
+    ``file:`` game is hashed once per grid, not once per cell.
+    """
+    if stamps is None:
+        stamps = game_stamps(spec)
     game_name = task.game or spec.game
     profile = (
         list(spec.action_profiles[task.profile_index])
@@ -94,7 +102,7 @@ def run_fingerprint(spec, task) -> str:
         "scenario": spec.name,
         "theorem": spec.theorem,
         "game": game_name,
-        "game_content": game_content_stamp(game_name),
+        "game_content": stamps.get(game_name),
         "n": spec.n,
         "k": spec.k,
         "t": spec.t,
@@ -127,7 +135,7 @@ def spec_fingerprint(spec) -> str:
         "v": FINGERPRINT_VERSION,
         "kind": "scenario",
         "spec": spec.to_dict(),
-        "games": _game_stamps(spec),
+        "games": game_stamps(spec),
     })
 
 

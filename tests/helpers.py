@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Any, Callable, Optional
 
 from repro.broadcast import SessionHost
-from repro.sim import FifoScheduler, Process, Runtime
+from repro.sim import FifoScheduler, Process, Runtime, TransitView
 
 
 class CrashProcess(Process):
@@ -79,3 +79,31 @@ def results_for(hosts: dict, sid: tuple) -> dict[int, Any]:
         for pid, host in hosts.items()
         if sid in host.results
     }
+
+
+def recording_fifo(expected: Optional[Callable[[int], list]] = None):
+    """A fifo scheduler that checks every pool it is handed.
+
+    Each pool must be a :class:`TransitView` and, given ``expected``, hold
+    exactly the uids ``expected(step)`` lists (ascending). The uids of each
+    pool are kept in the scheduler's ``pools``. The class is built per
+    call, not at module level: perfbench's tracer wraps the ``choose`` of
+    every live ``Scheduler`` subclass and names the span after the
+    package in the class's module name, which a test module lacks.
+    """
+
+    class RecordingFifo(FifoScheduler):
+        name = "recording-fifo"
+
+        def __init__(self) -> None:
+            self.pools: list[list[int]] = []
+
+        def choose(self, in_transit, step):
+            assert isinstance(in_transit, TransitView), type(in_transit)
+            uids = list(in_transit.uids())
+            if expected is not None:
+                assert uids == expected(step), step
+            self.pools.append(uids)
+            return super().choose(in_transit, step)
+
+    return RecordingFifo()

@@ -227,33 +227,44 @@ class TestSection64Attack:
     def test_colluding_scheduler_trips_only_on_signal(self):
         sched = ColludingScheduler((0, 1))
         sched.reset(0)
-        from repro.sim.network import MessageView
+        from repro.sim.network import Message, Network
 
-        normal = [MessageView(uid=1, sender=2, recipient=3, send_step=0, batch=1)]
+        def transit(uid, sender, recipient, batch):
+            net = Network()
+            net.reinstate([Message(uid, sender, recipient, None, 0, batch)])
+            return net.view()
+
+        normal = transit(uid=1, sender=2, recipient=3, batch=1)
         assert sched.choose(normal, 0) == 1
-        signal = [
-            MessageView(uid=2, sender=0, recipient=0, send_step=0, batch=2)
-        ]
+        signal = transit(uid=2, sender=0, recipient=0, batch=2)
         assert sched.choose(signal, 1) is None
         assert sched.choose(normal, 2) is None  # stays tripped
 
     def test_colluding_scheduler_trips_at_the_same_step_on_both_views(self):
         """The pool's self-sender index trips the scheduler at the step a
-        scan over plain MessageViews does, and not on a non-member's
+        scan over the pool's MessageViews does, and not on a non-member's
         self-message or a member's message to someone else."""
         from repro.sim.network import Network
 
-        indexed, scanned = ColludingScheduler((0, 1)), ColludingScheduler((0, 1))
-        indexed.reset(0)
-        scanned.reset(0)
+        coalition = {0, 1}
+        sched = ColludingScheduler(coalition)
+        sched.reset(0)
         net = Network()
         sends = [[(2, 3)], [(2, 2)], [(0, 1)], [(3, 3), (1, 1)], [(2, 3)]]
         picks = []
+        tripped = False
         for step, batch in enumerate(sends):
             for sender, recipient in batch:
                 net.send(sender, recipient, "x", step, step)
-            pick = indexed.choose(net.view(), step)
-            assert scanned.choose(list(net.view()), step) == pick
+            pick = sched.choose(net.view(), step)
+            # The scan: stop for good at a member's self-message, else
+            # deliver the oldest message.
+            views = list(net.view())
+            tripped = tripped or any(
+                m.sender == m.recipient and m.sender in coalition
+                for m in views
+            )
+            assert (None if tripped else min(m.uid for m in views)) == pick
             picks.append(pick)
             if pick is not None:
                 net.deliver(pick)

@@ -85,17 +85,21 @@ class TestMediatorCircuits:
             mediator_circuit_for(spec, F)
 
     @pytest.mark.parametrize(
-        "name, implements",
-        [("consensus-lookalike(n=7)", True),
-         ("byz-agreement-lookalike(n=7)", False)],
+        "name, mismatch",
+        [("consensus-lookalike(n=7)", None),
+         ("byz-agreement-lookalike(n=7)", "mediator_dist"),
+         ("free-rider-lookalike(n=7)", "rotate-duty"),
+         ("shamir-secret-lookalike(n=7)", "shamir-decode")],
     )
     def test_file_game_named_like_a_library_game(
-        self, tmp_path, name, implements
+        self, tmp_path, name, mismatch
     ):
         """A builder picked by name prefix must match the game's own rule.
 
         The game is the common-coin example widened to 7 players: the coin
-        circuit implements it, the majority circuit does not.
+        circuit implements it, the majority circuit does not, and the
+        free-rider and Shamir builders refuse its rule before reading
+        parameters from it.
         """
         definition = json.loads(EXAMPLE_GAME.read_text())
         definition.update(
@@ -107,10 +111,10 @@ class TestMediatorCircuits:
         path = tmp_path / "game.json"
         path.write_text(json.dumps(definition))
         spec = make_game(f"file:{path}", 7)
-        if implements:
+        if mismatch is None:
             assert mediator_circuit_for(spec, F).randbit_count == 1
         else:
-            with pytest.raises(MediatorError, match="mediator_dist"):
+            with pytest.raises(MediatorError, match=mismatch):
                 mediator_circuit_for(spec, F)
 
 

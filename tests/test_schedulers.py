@@ -3,11 +3,15 @@
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from helpers import recording_fifo
 from repro.sim import (
     BatchRandomScheduler,
+    BoundedDelay,
+    DropPlanRelaxedScheduler,
     EagerScheduler,
     FifoScheduler,
     LaggardScheduler,
+    LockStep,
     Process,
     RandomScheduler,
     RelaxedScheduler,
@@ -15,12 +19,20 @@ from repro.sim import (
     RushingScheduler,
     scheduler_zoo,
 )
-from repro.sim.network import MessageView, Network
+from repro.sim.network import Message, Network
 
 
 def mk(uid, sender=0, recipient=1, batch=0):
-    return MessageView(uid=uid, sender=sender, recipient=recipient,
-                       send_step=0, batch=batch)
+    return Message(uid=uid, sender=sender, recipient=recipient,
+                   payload=None, send_step=0, batch=batch)
+
+
+def transit(*messages):
+    """The pool a scheduler is handed when exactly ``messages`` are in
+    transit, each under its own uid."""
+    net = Network()
+    net.reinstate(messages)
+    return net.view()
 
 
 class TestChooseContracts:
@@ -32,7 +44,7 @@ class TestChooseContracts:
     )
     def test_empty_pool_returns_none(self, scheduler):
         scheduler.reset(0)
-        assert scheduler.choose([], 0) is None
+        assert scheduler.choose(transit(), 0) is None
 
     @pytest.mark.parametrize(
         "scheduler",
@@ -42,19 +54,19 @@ class TestChooseContracts:
     )
     def test_always_picks_an_existing_uid(self, scheduler):
         scheduler.reset(0)
-        pool = [mk(3), mk(7, recipient=2), mk(9, sender=1)]
+        pool = transit(mk(3), mk(7, recipient=2), mk(9, sender=1))
         for step in range(10):
             uid = scheduler.choose(pool, step)
             assert uid in {3, 7, 9}
 
     def test_fifo_order(self):
         sched = FifoScheduler()
-        assert sched.choose([mk(5), mk(2), mk(9)], 0) == 2
+        assert sched.choose(transit(mk(5), mk(2), mk(9)), 0) == 2
 
     def test_random_deterministic_per_reset(self):
         a = RandomScheduler(3)
         a.reset(11)
-        pool = [mk(i) for i in range(10)]
+        pool = transit(*(mk(i) for i in range(10)))
         seq_a = [a.choose(pool, s) for s in range(5)]
         a.reset(11)
         seq_b = [a.choose(pool, s) for s in range(5)]
@@ -63,32 +75,34 @@ class TestChooseContracts:
     def test_eager_drains_one_recipient(self):
         sched = EagerScheduler()
         sched.reset(0)
-        pool = [mk(1, recipient=1), mk(2, recipient=2), mk(3, recipient=1)]
+        pool = transit(mk(1, recipient=1), mk(2, recipient=2),
+                       mk(3, recipient=1))
         first = sched.choose(pool, 0)
         assert first == 1  # lowest recipient chosen, lowest uid within it
-        pool2 = [mk(2, recipient=2), mk(3, recipient=1)]
+        pool2 = transit(mk(2, recipient=2), mk(3, recipient=1))
         assert sched.choose(pool2, 1) == 3  # stays on recipient 1
 
     def test_laggard_defers_victims(self):
         sched = LaggardScheduler([2])
-        pool = [mk(1, recipient=2), mk(5, recipient=1)]
+        pool = transit(mk(1, recipient=2), mk(5, recipient=1))
         assert sched.choose(pool, 0) == 5
-        only_victim = [mk(1, recipient=2)]
+        only_victim = transit(mk(1, recipient=2))
         assert sched.choose(only_victim, 0) == 1  # must deliver eventually
 
     def test_laggard_senders_mode(self):
         sched = LaggardScheduler([2], lag_senders=True)
-        pool = [mk(1, sender=2, recipient=0), mk(5, sender=0, recipient=1)]
+        pool = transit(mk(1, sender=2, recipient=0),
+                       mk(5, sender=0, recipient=1))
         assert sched.choose(pool, 0) == 5
 
     def test_batch_random_finishes_batches(self):
         sched = BatchRandomScheduler(0)
         sched.reset(0)
         pool = [mk(1, batch=10), mk(2, batch=10), mk(3, batch=20)]
-        first = sched.choose(pool, 0)
+        first = sched.choose(transit(*pool), 0)
         batch = 10 if first in (1, 2) else 20
         rest = [m for m in pool if m.uid != first]
-        second = sched.choose(rest, 1)
+        second = sched.choose(transit(*rest), 1)
         same_batch_left = [m for m in rest if m.batch == batch]
         if same_batch_left:
             assert second == min(m.uid for m in same_batch_left)
@@ -98,7 +112,7 @@ class TestRelaxed:
     def test_counts_deliveries(self):
         sched = RelaxedScheduler(FifoScheduler(), deliveries_before_stop=2)
         sched.reset(0)
-        pool = [mk(i) for i in range(5)]
+        pool = transit(*(mk(i) for i in range(5)))
         assert sched.choose(pool, 0) == 0
         assert sched.choose(pool, 1) == 0
         assert sched.choose(pool, 2) is None
@@ -106,10 +120,10 @@ class TestRelaxed:
     def test_reset_restores_budget(self):
         sched = RelaxedScheduler(FifoScheduler(), deliveries_before_stop=1)
         sched.reset(0)
-        assert sched.choose([mk(1)], 0) == 1
-        assert sched.choose([mk(2)], 1) is None
+        assert sched.choose(transit(mk(1)), 0) == 1
+        assert sched.choose(transit(mk(2)), 1) is None
         sched.reset(1)
-        assert sched.choose([mk(3)], 0) == 3
+        assert sched.choose(transit(mk(3)), 0) == 3
 
     def test_is_relaxed_flags(self):
         assert RelaxedScheduler(FifoScheduler(), 1).is_relaxed()
@@ -178,8 +192,138 @@ class TestDrainContract:
         assert relaxed == ["colluding"]
 
 
+class TestOnePoolType:
+    """Whatever restricts the pool — a lock-step round, a bounded-delay
+    overdue class, a drop plan — the scheduler is handed a TransitView
+    holding exactly the eligible messages."""
+
+    N = 6
+
+    def _run(self, expected, timing=None, wrap=lambda scheduler: scheduler):
+        """Run the Chatty workload under a recording fifo that checks each
+        pool against ``expected(network, step)``; return the pools with
+        the in-transit count at each step."""
+        runtime = None
+        sizes = []
+
+        def check(step):
+            network = runtime.network
+            sizes.append(len(network))
+            return expected(network, step)
+
+        recorder = recording_fifo(check)
+        runtime = Runtime(
+            {pid: Chatty(self.N) for pid in range(self.N)},
+            wrap(recorder), seed=4, timing=timing,
+        )
+        runtime.run()
+        assert recorder.pools
+        return list(zip(recorder.pools, sizes))
+
+    def test_lockstep_round(self):
+        timing = LockStep()
+        watermarks = {}
+
+        def expected(network, step):
+            # A round's pool is everything in transit when it began; what
+            # is sent during the round waits for the next one.
+            watermark = watermarks.setdefault(timing.round, network.total_sent)
+            return [uid for uid in network.view().uids() if uid < watermark]
+
+        pools = self._run(expected, timing=timing)
+        assert len(watermarks) > 2
+        assert any(len(pool) < size for pool, size in pools)
+
+    def test_bounded_delay_overdue_class(self):
+        def expected(network, step):
+            deadline = {m.uid: m.send_step + 1 for m in network.in_transit()}
+            overdue = [uid for uid, due in deadline.items() if due <= step]
+            if not overdue:
+                return list(network.view().uids())
+            first = min(deadline[uid] for uid in overdue)
+            return [uid for uid in overdue if deadline[uid] == first]
+
+        pools = self._run(expected, timing=BoundedDelay(1))
+        assert any(len(pool) < size for pool, size in pools)
+
+    def test_drop_plan_deliverable_subset(self):
+        def should_drop(view):
+            return view.recipient == 2 and view.sender != -1
+
+        def expected(network, step):
+            return [v.uid for v in network.view() if not should_drop(v)]
+
+        pools = self._run(
+            expected,
+            wrap=lambda base: DropPlanRelaxedScheduler(base, should_drop),
+        )
+        assert any(len(pool) < size for pool, size in pools)
+
+
+# Scan oracles: each scheduler's choice written as a plain scan over a list
+# of MessageViews, reading and updating the scheduler's own state the way
+# its choose does. The schedulers answer from the pool's index instead; the
+# test below holds every indexed answer to these.
+
+
+def _oldest(views):
+    return min(views, key=lambda m: m.uid).uid
+
+
+def fifo_scan(sched, views):
+    return _oldest(views) if views else None
+
+
+def random_scan(sched, views):
+    if not views:
+        return None
+    return sched._rng.choice(sorted(m.uid for m in views))
+
+
+def eager_scan(sched, views):
+    if not views:
+        return None
+    to_current = [m for m in views if m.recipient == sched._current]
+    if not to_current:
+        sched._current = min(m.recipient for m in views)
+        to_current = [m for m in views if m.recipient == sched._current]
+    return _oldest(to_current)
+
+
+def laggard_scan(sched, views):
+    if not views:
+        return None
+
+    def slow(m):
+        if m.recipient in sched.lagging:
+            return True
+        return sched.lag_senders and m.sender in sched.lagging
+
+    fast = [m for m in views if not slow(m)]
+    return _oldest(fast if fast else views)
+
+
+def batch_random_scan(sched, views):
+    if not views:
+        return None
+    if sched._active_batch is not None:
+        same = [m for m in views if m.batch == sched._active_batch]
+        if same:
+            return _oldest(same)
+    chosen = sched._rng.choice(sorted(views, key=lambda m: m.uid))
+    sched._active_batch = chosen.batch
+    return chosen.uid
+
+
+def rushing_scan(sched, views):
+    if not views:
+        return None
+    fast = [m for m in views if m.sender in sched.favoured]
+    return _oldest(fast if fast else views)
+
+
 class TestTransitViewFastPaths:
-    """The indexed TransitView answers must match the legacy list scans."""
+    """The indexed TransitView answers must match the scan oracles."""
 
     def _network(self):
         net = Network()
@@ -202,37 +346,42 @@ class TestTransitViewFastPaths:
         return net
 
     def _fresh_pairs(self):
+        """(scheduler, a twin in the same state, the twin's scan oracle)."""
         return [
-            (FifoScheduler(), FifoScheduler()),
-            (RandomScheduler(7), RandomScheduler(7)),
-            (EagerScheduler(), EagerScheduler()),
-            (BatchRandomScheduler(7), BatchRandomScheduler(7)),
-            (LaggardScheduler([0]), LaggardScheduler([0])),
+            (FifoScheduler(), FifoScheduler(), fifo_scan),
+            (RandomScheduler(7), RandomScheduler(7), random_scan),
+            (EagerScheduler(), EagerScheduler(), eager_scan),
+            (BatchRandomScheduler(7), BatchRandomScheduler(7),
+             batch_random_scan),
+            (LaggardScheduler([0]), LaggardScheduler([0]), laggard_scan),
             (LaggardScheduler([2], lag_senders=True),
-             LaggardScheduler([2], lag_senders=True)),
-            (RushingScheduler([3]), RushingScheduler([3])),
-            (RushingScheduler([0, 2]), RushingScheduler([0, 2])),
+             LaggardScheduler([2], lag_senders=True), laggard_scan),
+            (RushingScheduler([3]), RushingScheduler([3]), rushing_scan),
+            (RushingScheduler([0, 2]), RushingScheduler([0, 2]),
+             rushing_scan),
         ]
 
     def test_view_choice_matches_legacy_choice(self):
-        for fast, legacy in self._fresh_pairs():
+        for fast, legacy, scan in self._fresh_pairs():
             net = self._network()
             fast.reset(9)
             legacy.reset(9)
             for step in range(len(net)):
                 view_pick = fast.choose(net.view(), step)
-                list_pick = legacy.choose(net.in_transit_views(), step)
+                list_pick = scan(legacy, list(net.view()))
                 assert view_pick == list_pick, type(fast).__name__
                 net.deliver(view_pick)
             assert fast.choose(net.view(), 99) is None
 
     def test_view_is_a_sequence(self):
+        """Length and iteration (oldest first) agree with the uid list."""
         net = self._network()
         view = net.view()
         assert len(view) == 8
         assert [m.uid for m in view] == sorted(m.uid for m in view)
-        assert view[0].uid == min(view.uids())
-        assert view.min_uid() == view[0].uid
+        first = next(iter(view))
+        assert first.uid == min(view.uids())
+        assert view.min_uid() == first.uid
         assert [view.nth_uid(i) for i in range(len(view))] == [
             m.uid for m in view
         ]

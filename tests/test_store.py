@@ -233,6 +233,32 @@ class TestGetOrRun:
             assert outcome.result.spec.name == CHEAP
             assert store.get_or_run(CHEAP).hit
 
+    def test_a_file_game_is_hashed_once_per_grid(self, tmp_path, monkeypatch):
+        """One content hash keys the result document and one the grid's
+        cells, not one per cell; each cell's key is the one
+        ``run_fingerprint`` computes for the cell alone."""
+        from repro.store import fingerprint
+
+        calls = []
+        stamp = fingerprint.game_content_stamp
+
+        def counted(name):
+            calls.append(name)
+            return stamp(name)
+
+        monkeypatch.setattr(fingerprint, "game_content_stamp", counted)
+        spec = get_scenario("mediator-honest").replace(
+            game=f"file:{SRC.parent / 'examples' / 'custom_game.json'}"
+        )
+        tasks = expand_grid(spec)
+        with ResultStore(str(tmp_path / "s.sqlite")) as store:
+            store.get_or_run(spec)
+            assert len(calls) == 2
+            keys = [run_fingerprint(spec, task) for task in tasks]
+            assert len(calls) == 2 + len(tasks)
+            assert len(set(keys)) == len(tasks) == 9
+            assert len(store.fetch_records(keys)) == len(tasks)
+
     def test_cli_run_with_store_is_byte_stable(self, tmp_path, capsys):
         from repro.cli import main
 

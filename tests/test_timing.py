@@ -2,6 +2,7 @@
 
 import pytest
 
+from helpers import recording_fifo
 from repro.errors import ExperimentError, SimulationError, StepLimitExceeded
 from repro.experiments import ScenarioSpec, expand_grid, run_scenario
 from repro.sim import (
@@ -153,6 +154,30 @@ class TestLockStepKernel:
         # round, and neither does the kernel.
         assert rounds_seen == []
         assert result.messages_dropped == 1
+
+    def test_mail_to_a_recipient_halting_mid_round_is_never_offered(self):
+        class Sender(Process):
+            def on_start(self, ctx):
+                for recipient, payload in ((1, "halt"), (1, "late"),
+                                           (2, "hi")):
+                    ctx.send(recipient, payload)
+
+            def on_message(self, ctx, sender, payload):  # pragma: no cover
+                pass
+
+        procs = {
+            0: Sender(),
+            1: FuncProcess(on_message=lambda ctx, s, p: ctx.halt()),
+            2: FuncProcess(on_message=lambda ctx, s, p: None),
+        }
+        scheduler = recording_fifo()
+        result = Runtime(procs, scheduler, timing=LockStep()).run()
+        # Round 0 delivers the start signals (uids 0-2). Round 1 holds
+        # uids 3 and 4 to player 1 and 5 to player 2; delivering 3 halts
+        # player 1, which discards 4 from the pool and from the round.
+        assert scheduler.pools == [[0, 1, 2], [1, 2], [2], [3, 4, 5], [5]]
+        assert result.messages_dropped == 1
+        assert result.messages_delivered == 5
 
     def test_message_driven_processes_ignore_ticks(self):
         done = FuncProcess(

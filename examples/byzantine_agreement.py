@@ -11,7 +11,7 @@ Run:  python examples/byzantine_agreement.py
 """
 
 from repro.analysis.deviations import ct_crash, ct_lying_shares
-from repro.analysis.robustness import average_utilities
+from repro.analysis.robustness import scheduler_proofness_spread
 from repro.cheaptalk import compile_theorem41
 from repro.games.library import byzantine_agreement_game
 from repro.mediator import MediatorGame
@@ -48,11 +48,10 @@ def main() -> None:
     # Scheduler-proofness (Corollary 6.3): payoffs do not depend on the
     # environment. Sampled at this one type profile: all 2^9 profiles
     # would take 8,192 runs.
-    utilities = [
-        average_utilities(protocol.game, [scheduler], 4, type_profiles=[types])
-        for scheduler in scheduler_zoo(seed=5, parties=range(n))[:4]
-    ]
-    spread = max(max(values) - min(values) for values in zip(*utilities))
+    spread = scheduler_proofness_spread(
+        protocol.game, scheduler_zoo(seed=5, parties=range(n))[:4],
+        samples_per_scheduler=4, type_profiles=[types],
+    )["spread"]
     print(f"Utility spread across schedulers: {spread:.3f}")
 
 

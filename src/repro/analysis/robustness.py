@@ -133,6 +133,7 @@ def scheduler_proofness_spread(
     samples_per_scheduler: int = 16,
     deviations: Optional[Mapping[int, Callable]] = None,
     seed: int = 0,
+    type_profiles: Optional[Sequence[tuple]] = None,
 ) -> dict:
     """Corollary 6.3: per-player utility spread across environments.
 
@@ -140,12 +141,13 @@ def scheduler_proofness_spread(
     spread_i}, with one entry per environment given, in order (several
     environments may share a name). A (k,t)-robust profile must have
     spread ~ sampling noise; a profile whose payoff the environment can
-    influence will show a real gap.
+    influence will show a real gap. ``type_profiles`` limits the sample
+    to those profiles (default: every profile of the game's type space).
     """
     per_scheduler = [
         (scheduler.name, average_utilities(
             game, [scheduler], samples_per_scheduler,
-            deviations=deviations, seed=seed,
+            deviations=deviations, seed=seed, type_profiles=type_profiles,
         ))
         for scheduler in schedulers
     ]

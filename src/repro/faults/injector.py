@@ -3,7 +3,7 @@
 Both runtimes — the simulated kernel (:class:`repro.sim.runtime.Runtime`,
 which also runs ``runtime="net"`` under a latency scheduler) and the TCP
 substrate (:class:`repro.net.runtime.NetRuntime`) — drive one
-:class:`FaultInjector` per run through the same three hook points:
+:class:`FaultInjector` per run through the same hook points:
 
 * **per-step events** — :meth:`due_events` hands back crash/restart/heal
   events whose delivery-step threshold has arrived; the runtime applies
@@ -12,12 +12,33 @@ substrate (:class:`repro.net.runtime.NetRuntime`) — drive one
 * **per-send fate** — :meth:`fate` decides what happens to each protocol
   message as it is sent: delivered (possibly in duplicate), dropped, or
   held behind a partition cut / a crashed-but-restartable recipient;
+* **per-delivery log** — :meth:`log_delivery` records what a
+  crash-restart target receives, so its restart can replay it;
 * **quiesce advance** — when nothing is deliverable, :meth:`pop_recovery`
   pulls the earliest pending *recovery* (restart or heal) forward so the
   fault schedule can never outlive the traffic: a partitioned or
   crash-restart run always quiesces. Crash events never fire early — a
   crash scheduled beyond the run's natural length simply does not
   happen.
+
+A plan acts on few messages, so the kernel calls each hook only while
+it can act, and the injector keeps the state that says when:
+
+* events: the kernel compares the step with :attr:`next_step` and calls
+  :meth:`due_events` only on a step where an event is due;
+* fate: while :attr:`passive` is true — no recipient is down, every
+  partition has healed and the plan neither drops nor duplicates —
+  :meth:`fate` could only answer "deliver once", so the kernel does not
+  call it. A drop or dup plan is never passive: each of its sends draws
+  from a seeded stream. Reset, crash, restart and heal keep the flag
+  current;
+* log: only a restart target whose restart has not fired yet has an
+  :attr:`inbox_log`, and the kernel observes deliveries for the log only
+  while one is open. :meth:`restore` hands the log over and drops it: a
+  plan crashes a pid at most once, so nothing is replayed twice.
+
+The TCP runtime calls :meth:`due_events` every step and :meth:`fate`
+on every send; both answer the same there.
 
 All state here is rebuilt by :meth:`reset` from ``(plan, seed)``, so a
 run under faults stays a pure function of ``(spec, seed)`` and repeat
@@ -28,10 +49,14 @@ runtimes store withdrawn :class:`~repro.sim.network.Message` objects.
 from __future__ import annotations
 
 import copy
+import sys
 from dataclasses import dataclass
 from typing import Any, Optional
 
 from repro.faults.plan import FaultPlan
+
+NEVER = sys.maxsize
+""":attr:`FaultInjector.next_step` while no event is pending."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -55,8 +80,14 @@ class FaultInjector:
     def __init__(self, plan: FaultPlan) -> None:
         self.plan = plan
         self.replaying = False
+        self.passive = False
+        """True while :meth:`fate` can only answer ``("deliver", 1)``."""
+        self.next_step = NEVER
+        """The step of the earliest pending event."""
         self.down: set[int] = set()
         self.inbox_log: dict[int, list] = {}
+        """Delivered ``(sender, payload)`` pairs per restart target whose
+        restart has not fired yet."""
         self._snapshots: dict[int, Any] = {}
         self._held: dict[tuple, list] = {}
         self._healed: set[int] = set()
@@ -93,23 +124,41 @@ class FaultInjector:
             events.append(FaultEvent(part.heal, seq, "heal", index=index))
             seq += 1
         self._events = sorted(events, key=lambda e: (e.step, e.seq))
+        self._reschedule()
+        self._refresh_passive()
+
+    def _reschedule(self) -> None:
+        self.next_step = self._events[0].step if self._events else NEVER
+
+    def _refresh_passive(self) -> None:
+        plan = self.plan
+        self.passive = not (
+            self.down
+            or len(self._healed) < len(plan.partitions)
+            or plan.drops
+            or plan.dups
+        )
 
     # -- the schedule --------------------------------------------------------
 
     def due_events(self, step: int) -> list[FaultEvent]:
         """Pop every event whose step threshold has arrived."""
-        if not self._events or self._events[0].step > step:
+        if step < self.next_step:
             return []
+        events = self._events
         due = []
-        while self._events and self._events[0].step <= step:
-            due.append(self._events.pop(0))
+        while events and events[0].step <= step:
+            due.append(events.pop(0))
+        self._reschedule()
         return due
 
     def pop_recovery(self) -> Optional[FaultEvent]:
         """Pop the earliest pending restart/heal (quiesce pull-forward)."""
         for i, event in enumerate(self._events):
             if event.is_recovery:
-                return self._events.pop(i)
+                event = self._events.pop(i)
+                self._reschedule()
+                return event
         return None
 
     # -- per-send decisions --------------------------------------------------
@@ -156,6 +205,7 @@ class FaultInjector:
 
     def mark_healed(self, index: int) -> None:
         self._healed.add(index)
+        self._refresh_passive()
 
     # -- crash-restart bookkeeping ------------------------------------------
 
@@ -164,13 +214,18 @@ class FaultInjector:
 
     def go_down(self, pid: int) -> None:
         self.down.add(pid)
+        self._refresh_passive()
 
-    def restore(self, pid: int) -> Optional[Any]:
-        """A pristine process copy for a restart (None if never crashed)."""
+    def restore(self, pid: int) -> Optional[tuple]:
+        """``(pristine process copy, inbox to replay)`` for a restart, or
+        None if the crash never fired. Either way the pid's inbox log is
+        dropped: a plan crashes a pid at most once."""
+        inbox = self.inbox_log.pop(pid, [])
         if pid not in self.down:
             return None
         self.down.discard(pid)
-        return copy.deepcopy(self._snapshots[pid])
+        self._refresh_passive()
+        return copy.deepcopy(self._snapshots[pid]), inbox
 
     def log_delivery(self, pid: int, sender: int, payload: Any) -> None:
         log = self.inbox_log.get(pid)

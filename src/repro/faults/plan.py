@@ -134,32 +134,34 @@ class CrashFault(FaultAction):
             self.name = f"crash-restart@p{pid}s{step}r{restart}"
 
 
-class DropFault(FaultAction):
+class SeededFault(FaultAction):
+    """Act on each protocol message with probability ``p``, drawn from
+    the message's per-edge stream."""
+
+    def __init__(self, p: float) -> None:
+        super().__init__()
+        self.p = float(p)
+        self.name = f"{self.kind}-{_fmt(self.p)}"
+
+    def decide(self, sender: int, recipient: int) -> bool:
+        # edge_rng inlined for a stream it has already made: this runs
+        # once per protocol message.
+        rng = self._edge_rngs.get((sender, recipient))
+        if rng is None:
+            rng = self.edge_rng(sender, recipient)
+        return rng.random() < self.p
+
+
+class DropFault(SeededFault):
     """Drop each protocol message with probability ``p`` (per-edge seeded)."""
 
     kind = "drop"
 
-    def __init__(self, p: float) -> None:
-        super().__init__()
-        self.p = float(p)
-        self.name = f"drop-{_fmt(self.p)}"
 
-    def decide(self, sender: int, recipient: int) -> bool:
-        return self.edge_rng(sender, recipient).random() < self.p
-
-
-class DupFault(FaultAction):
+class DupFault(SeededFault):
     """Duplicate each protocol message with probability ``p``."""
 
     kind = "dup"
-
-    def __init__(self, p: float) -> None:
-        super().__init__()
-        self.p = float(p)
-        self.name = f"dup-{_fmt(self.p)}"
-
-    def decide(self, sender: int, recipient: int) -> bool:
-        return self.edge_rng(sender, recipient).random() < self.p
 
 
 class PartitionFault(FaultAction):
@@ -197,7 +199,7 @@ class PartitionFault(FaultAction):
         return (sender in self.group) != (recipient in self.group)
 
 
-class CorruptTcpFault(FaultAction):
+class CorruptTcpFault(SeededFault):
     """Flip a byte in a fraction ``p`` of TCP frames (CRC discards them).
 
     Only the TCP transport has a wire to corrupt; on the kernel (``sim``
@@ -205,14 +207,6 @@ class CorruptTcpFault(FaultAction):
     """
 
     kind = "corrupt-tcp"
-
-    def __init__(self, p: float) -> None:
-        super().__init__()
-        self.p = float(p)
-        self.name = f"corrupt-tcp-{_fmt(self.p)}"
-
-    def decide(self, sender: int, recipient: int) -> bool:
-        return self.edge_rng(sender, recipient).random() < self.p
 
 
 class FaultPlan:

@@ -89,11 +89,16 @@ class LogNormalLatency(LatencyModel):
             )
         self.median = float(median)
         self.sigma = float(sigma)
+        self._mu = math.log(self.median)
         self.name = f"lognormal@m{_fmt(median)}s{_fmt(sigma)}"
 
     def delay(self, sender: int, recipient: int, now: float) -> float:
-        rng = self.edge_rng(sender, recipient)
-        return rng.lognormvariate(math.log(self.median), self.sigma)
+        # edge_rng inlined for a stream it has already made: this runs
+        # once per message.
+        rng = self._edge_rngs.get((sender, recipient))
+        if rng is None:
+            rng = self.edge_rng(sender, recipient)
+        return rng.lognormvariate(self._mu, self.sigma)
 
 
 class GstLatency(LatencyModel):

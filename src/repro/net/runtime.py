@@ -380,9 +380,10 @@ class NetRuntime:
         """Same recovery semantics as the kernel: pristine copy, inbox
         replay with sends/outputs suppressed, held messages reposted."""
         faults = self._faults
-        process = faults.restore(pid)
-        if process is None:
+        restored = faults.restore(pid)
+        if restored is None:
             return  # the crash never fired; nothing to recover
+        process, inbox = restored
         self.processes[pid] = process
         self.started.discard(pid)
         if self._trace_on:
@@ -392,7 +393,7 @@ class NetRuntime:
         await self._transport.revive_node(pid)
         faults.replaying = True
         try:
-            for sender, payload in faults.inbox_log.get(pid, ()):
+            for sender, payload in inbox:
                 if pid in self.halted:
                     break
                 ctx = self._context(pid)

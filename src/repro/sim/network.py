@@ -19,11 +19,14 @@ injector's held messages and inspection.
 
 Per-recipient, per-sender and per-batch buckets and the self-send counts
 form one :class:`PoolIndex`. The fifo, random and latency schedulers never
-read it, so the pool builds it the first time a scheduler query, a halt
-(:meth:`Network.discard_to`) or a crash (:meth:`Network.withdraw_to`) asks
-for it, and maintains it from then on. Each bucket is an insertion-ordered
-dict kept in ascending uid order, so "the oldest message to recipient r" is
-``next(iter(bucket))`` — O(1).
+read it, so the pool builds it the first time a scheduler query asks for
+it, and maintains it from then on. Only scheduler queries build it: a halt
+(:meth:`Network.discard_to`) or a crash (:meth:`Network.withdraw_to`)
+reads it if it is live and otherwise scans the in-transit uids once,
+which costs less than keeping an index current on every later send and
+delivery. Each bucket is an insertion-ordered dict kept in ascending uid
+order, so "the oldest message to recipient r" is ``next(iter(bucket))``
+— O(1).
 """
 
 from __future__ import annotations
@@ -160,11 +163,13 @@ class TransitView:
 
     ``len``, truthiness and iteration (:class:`MessageView` objects,
     oldest first) cover a plain scan; the indexed queries —
-    :meth:`has_uid`, :meth:`min_uid`, :meth:`nth_uid`, :meth:`oldest_to`,
+    ``has_uid``, :meth:`min_uid`, :meth:`nth_uid`, :meth:`oldest_to`,
     :meth:`oldest_from`, :meth:`oldest_in_batch`, :meth:`self_senders` —
     answer in O(1) from the network's sorted uid list and its
     :class:`PoolIndex`, which the first query that needs it builds.
-    Payloads are never reachable through this object.
+    ``has_uid(uid)`` (is message ``uid`` still in transit?) is the record
+    map's own ``__contains__``, so the latency heap's per-pop test is one
+    C call. Payloads are never reachable through this object.
 
     The view holds the pool's record map, uid list and index, not the
     :class:`Network`, so the network and its view form no reference
@@ -172,12 +177,13 @@ class TransitView:
     network never rebinds those containers, which keeps the view current.
     """
 
-    __slots__ = ("_records", "_uids", "_index")
+    __slots__ = ("_records", "_uids", "_index", "has_uid")
 
     def __init__(self, records: dict, uids: list, index: PoolIndex) -> None:
         self._records = records
         self._uids = uids
         self._index = index
+        self.has_uid = records.__contains__
 
     def __len__(self) -> int:
         return len(self._records)
@@ -195,10 +201,6 @@ class TransitView:
     def uids(self) -> list[int]:
         """All in-transit uids, ascending (send order). Do not mutate."""
         return self._uids
-
-    def has_uid(self, uid: int) -> bool:
-        """Is message ``uid`` still in transit?"""
-        return uid in self._records
 
     def min_uid(self) -> Optional[int]:
         """Oldest in-transit uid, or None when the pool is empty."""
@@ -314,16 +316,26 @@ class Network:
 
     def discard_to(self, recipients: set[int]) -> int:
         """Silently discard messages addressed to halted processes."""
-        by_recipient = self._index.ready().by_recipient
-        uids = [
-            uid
-            for recipient in sorted(recipients)
-            if recipient in by_recipient
-            for uid in by_recipient[recipient]
-        ]
+        uids = self._uids_to(recipients)
         for uid in uids:
             self.drop(uid)
         return len(uids)
+
+    def _uids_to(self, recipients: set[int]) -> list[int]:
+        """In-transit uids addressed to ``recipients``, ascending per
+        recipient: from the index if a scheduler has built it, else one
+        scan — a halt or crash alone never builds the index."""
+        index = self._index
+        if index.live:
+            by_recipient = index.by_recipient
+            return [
+                uid
+                for recipient in sorted(recipients)
+                if recipient in by_recipient
+                for uid in by_recipient[recipient]
+            ]
+        records = self.records
+        return [uid for uid in self._uids if records[uid][2] in recipients]
 
     # -- fault injection ----------------------------------------------------
 
@@ -334,11 +346,9 @@ class Network:
         return Message(*self._pop(uid))
 
     def withdraw_to(self, recipient: int) -> list[Message]:
-        """Withdraw every in-transit message addressed to ``recipient``."""
-        bucket = self._index.ready().by_recipient.get(recipient)
-        if not bucket:
-            return []
-        return [self.withdraw(uid) for uid in list(bucket)]
+        """Withdraw every in-transit message addressed to ``recipient``,
+        oldest first."""
+        return [self.withdraw(uid) for uid in self._uids_to({recipient})]
 
     def reinstate(self, messages: Iterable[Message]) -> None:
         """Put previously withdrawn messages back into the pool.

@@ -118,12 +118,13 @@ class Runtime:
         stays empty). Runs are otherwise bit-identical — counters come from
         the network — so batch sweeps that never read traces opt out of
         per-message event construction."""
-        self._watched = (
-            not self._timing_passive or record_trace or self._faults is not None
-        )
-        """Whether anything besides the pool observes each send and
-        delivery (timing hooks, trace events, the fault log): one test
-        per message instead of one per observer."""
+        self._sends_watched = not self._timing_passive or record_trace
+        """Whether anything besides the pool observes each send (the
+        timing model's hook, the trace's event): one test per send
+        instead of one per observer."""
+        self._deliveries_watched = self._sends_watched
+        """The same for each delivery, plus the fault injector's inbox
+        log while a restart target's log is open (:meth:`_watch_logs`)."""
         self._contexts: dict[int, Context] = {}
         self._batch = 0
         """The last batch id handed out: each activation (delivery, tick,
@@ -174,19 +175,19 @@ class Runtime:
             self._mediator_batches.add(batch)
         network = self.network
         uid = network.send(sender, recipient, payload, self._step, batch)
-        if self._watched:
+        if self._sends_watched:
             self._observe_send(uid)
         if recipient in self.halted:
             network.drop(uid)
             return
         post = self._post
-        if faults is None:
+        if faults is None or faults.passive:
             if post is not None:
                 post(uid, sender, recipient)
             return
         fate, arg = faults.fate(sender, recipient, self._step)
         if fate == "hold":
-            faults.hold(arg, network.withdraw(uid))
+            self._hold(arg, network.withdraw(uid))
         elif fate == "drop":
             network.drop(uid)
             if self._trace_on:
@@ -205,7 +206,8 @@ class Runtime:
                 post(uid, sender, recipient)
             for _ in range(arg - 1):
                 dup = network.send(sender, recipient, payload, self._step, batch)
-                self._observe_send(dup)
+                if self._sends_watched:
+                    self._observe_send(dup)
                 if post is not None:
                     post(dup, sender, recipient)
 
@@ -281,6 +283,7 @@ class Runtime:
             faults = self._faults
             if faults is not None:
                 faults.reset(self.seed, self.processes)
+                self._watch_logs()
             self._inject_start_signals()
             stopped_by_scheduler = False
             all_pids = set(self.processes)
@@ -303,12 +306,10 @@ class Runtime:
                     break
                 if halted >= all_pids:
                     break
-                if faults is not None:
-                    due = faults.due_events(self._step)
-                    if due:
-                        self._apply_fault_events(due)
-                        if halted >= all_pids:
-                            break
+                if faults is not None and self._step >= faults.next_step:
+                    self._apply_fault_events(faults.due_events(self._step))
+                    if halted >= all_pids:
+                        break
 
                 if timing_passive:
                     pool = view
@@ -405,9 +406,22 @@ class Runtime:
             # pid are held (not dropped) so the restart can deliver them.
             faults.go_down(pid)
             for msg in self.network.withdraw_to(pid):
-                faults.hold(("restart", pid), msg)
+                self._hold(("restart", pid), msg)
         else:
             self._record_halt(pid)
+
+    def _hold(self, key: tuple, msg: Message) -> None:
+        """Hand a withdrawn message to the injector (and tell a timing
+        model that tracks eligibility that it is gone)."""
+        self._faults.hold(key, msg)
+        if not self._timing_passive:
+            self.timing.on_withdraw(msg)
+
+    def _watch_logs(self) -> None:
+        """Observe deliveries for the fault log only while one is open."""
+        self._deliveries_watched = (
+            self._sends_watched or bool(self._faults.inbox_log)
+        )
 
     def _apply_restart(self, pid: int) -> None:
         """Install a pristine process copy and replay its logged inbox.
@@ -420,9 +434,11 @@ class Runtime:
         cheap-talk players' does) recover bit-exactly.
         """
         faults = self._faults
-        process = faults.restore(pid)
-        if process is None:
+        restored = faults.restore(pid)
+        self._watch_logs()
+        if restored is None:
             return  # the crash never fired; nothing to recover
+        process, inbox = restored
         self.processes[pid] = process
         self.started.discard(pid)
         if self._trace_on:
@@ -431,7 +447,7 @@ class Runtime:
             )
         faults.replaying = True
         try:
-            for sender, payload in faults.inbox_log.get(pid, ()):
+            for sender, payload in inbox:
                 if pid in self.halted:
                     break
                 ctx = self._context(pid)
@@ -452,17 +468,21 @@ class Runtime:
         """Put released held messages back in the pool.
 
         Messages whose recipient halted while they were held are dropped;
-        the rest are posted to the scheduler in uid order.
+        the rest go to the scheduler and a non-passive timing model in
+        uid order.
         """
         self.network.reinstate(released)
         stale = {m.recipient for m in released} & self.halted
         if stale:
             self.network.discard_to(stale)
         post = self._post
-        if post is not None:
-            for msg in sorted(released, key=lambda m: m.uid):
-                if msg.recipient not in stale:
-                    post(msg.uid, msg.sender, msg.recipient)
+        for msg in sorted(released, key=lambda m: m.uid):
+            if msg.recipient in stale:
+                continue
+            if post is not None:
+                post(msg.uid, msg.sender, msg.recipient)
+            if not self._timing_passive:
+                self.timing.on_reinstate(msg)
 
     def _advance_faults(self) -> bool:
         """Pull the earliest pending recovery forward when traffic drains.
@@ -535,7 +555,7 @@ class Runtime:
             raise SchedulerError(f"scheduler chose unknown message uid {uid}")
         _, sender, pid, payload, _, batch = record
         step = self._step = self._step + 1
-        if self._watched:
+        if self._deliveries_watched:
             self._observe_delivery(record, step)
         if batch in self._mediator_batches:
             self._delivered_mediator_batches.add(batch)
@@ -559,7 +579,7 @@ class Runtime:
 
     def _observe_delivery(self, record: tuple, step: int) -> None:
         """The timing model's delivery hook, the trace's delivery event
-        and the fault injector's inbox log."""
+        and the inbox log of a restart target whose restart is pending."""
         uid, sender, pid, payload, _, _ = record
         if not self._timing_passive:
             self.timing.on_deliver(Message(*record), step)
@@ -575,5 +595,7 @@ class Runtime:
                     payload=payload if self.trace.record_payloads else None,
                 )
             )
-        if self._faults is not None and pid not in self.halted:
-            self._faults.log_delivery(pid, sender, payload)
+        faults = self._faults
+        if (faults is not None and pid in faults.inbox_log
+                and pid not in self.halted):
+            faults.log_delivery(pid, sender, payload)

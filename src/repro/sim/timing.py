@@ -17,7 +17,11 @@ A :class:`TimingModel` owns the first question. Three models ship:
   sent in round *r* become eligible only in round *r + 1*, and at every
   round boundary each live process observes a *tick*
   (:meth:`~repro.sim.process.Process.on_tick`). ``SyncRuntime`` is a thin
-  adapter over the kernel with this model.
+  adapter over the kernel with this model. A message a fault plan holds
+  (:meth:`TimingModel.on_withdraw`) leaves its round at once and is
+  eligible in the round after its release
+  (:meth:`TimingModel.on_reinstate`), so a partition or crash-restart
+  loses nothing in transit.
 * :class:`BoundedDelay` — partial synchrony: after an optional global
   stabilization time (GST, in delivery steps), every message must be
   delivered within ``d`` steps of being sent. When messages become overdue
@@ -71,6 +75,13 @@ class TimingModel:
     def on_deliver(self, msg: Message, step: int) -> None:
         """Observe a delivery (retire bookkeeping for ``msg.uid``)."""
 
+    def on_withdraw(self, msg: Message) -> None:
+        """Observe a fault plan taking ``msg`` out of transit to hold it
+        (a partition cut, a crashed-but-restartable recipient)."""
+
+    def on_reinstate(self, msg: Message) -> None:
+        """Observe a held message put back in transit (heal, restart)."""
+
     def eligible(self, network: Network, step: int) -> TransitView:
         """The pool the scheduler may choose from at this step."""
         raise NotImplementedError
@@ -116,6 +127,12 @@ class LockStep(TimingModel):
     :class:`~repro.sim.network.Network` that only ever receives messages
     through ``reinstate``), kept current as messages are delivered or
     dropped, so :meth:`eligible` hands out its view without rebuilding it.
+
+    A message a fault plan holds (a partition cut, a crashed-but-
+    restartable recipient) leaves the round pool and the next round at
+    once, and becomes eligible in the round after its release: a heal or
+    restart puts it in the next round, like a message sent at that
+    moment.
     """
 
     name = "lockstep"
@@ -125,14 +142,15 @@ class LockStep(TimingModel):
             raise SimulationError("max_rounds must be >= 1")
         self.max_rounds = max_rounds
         self.round = 0
-        self._future: list[Message] = []
+        self._future: dict[int, Message] = {}
+        """The next round's messages by uid."""
         self._pool = Network()
         self._dropped_seen = 0
         self._ticked = True  # round 0 activations happen via start signals
 
     def reset(self, runtime) -> None:
         self.round = 0
-        self._future = []
+        self._future = {}
         self._pool = Network()
         self._dropped_seen = 0
         self._ticked = True
@@ -145,13 +163,21 @@ class LockStep(TimingModel):
         if msg.sender == ENVIRONMENT_PID:
             self._pool.reinstate([msg])
         else:
-            self._future.append(msg)
+            self._future[msg.uid] = msg
 
     def on_deliver(self, msg: Message, step: int) -> None:
         # A forced delivery (batch atomicity) may take a message that is
         # not in this round's pool.
         if msg.uid in self._pool:
             self._pool.drop(msg.uid)
+
+    def on_withdraw(self, msg: Message) -> None:
+        self._future.pop(msg.uid, None)
+        if msg.uid in self._pool:
+            self._pool.drop(msg.uid)
+
+    def on_reinstate(self, msg: Message) -> None:
+        self._future[msg.uid] = msg
 
     def eligible(self, network: Network, step: int) -> TransitView:
         pool = self._pool
@@ -172,8 +198,8 @@ class LockStep(TimingModel):
             return True
         if self._future:
             network = runtime.network
-            arrived = [m for m in self._future if m.uid in network]
-            self._future = []
+            arrived = [m for m in self._future.values() if m.uid in network]
+            self._future = {}
             if not arrived:
                 # Every message of the next round was discarded (recipients
                 # halted): no live process has mail, so the round structure

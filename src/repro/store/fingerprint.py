@@ -34,14 +34,20 @@ from typing import Optional
 from repro.games.registry import FILE_GAME_PREFIX
 from repro.utils.sha256 import sha256
 
-FINGERPRINT_VERSION = 3
-"""Bump when the fingerprint layout changes: old store rows simply stop
-matching (and stay readable through the query API) instead of being
-served against a key that no longer means the same thing.
+FINGERPRINT_VERSION = 4
+"""Bump when the fingerprint layout changes, or when the same cell's
+record changes: old store rows simply stop matching (and stay readable
+through the query API) instead of being served against a key that no
+longer means the same thing.
 
 Version history: 2 added the ``runtime``/``latency`` axes so net-substrate
 cells never dedup against simulated-kernel cells; 3 added the ``faults``
-axis so a faulty cell never dedups against its fault-free twin."""
+axis so a faulty cell never dedups against its fault-free twin; 4: under
+lock-step timing, a message a fault plan holds now leaves the round and
+comes back in the round after its release, where it used to stay in
+transit undelivered (or be chosen after its withdrawal, an error), so
+lock-step cells with a partition or crash-restart plan record different
+traffic."""
 
 
 def canonical_json(data) -> str:

@@ -15,6 +15,23 @@ class CrashProcess(Process):
         pass
 
 
+class Chatty(Process):
+    """Randomized workload: a burst at start, one relay per delivery."""
+
+    def __init__(self, n, budget=12):
+        self.n = n
+        self.budget = budget
+
+    def on_start(self, ctx):
+        for _ in range(3):
+            ctx.send(ctx.rng.randrange(self.n), ("chat", ctx.pid))
+
+    def on_message(self, ctx, sender, payload):
+        if self.budget > 0:
+            self.budget -= 1
+            ctx.send(ctx.rng.randrange(self.n), ("chat", ctx.pid))
+
+
 class ScriptedByzantine(Process):
     """A party driven by an explicit behaviour function.
 

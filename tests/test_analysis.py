@@ -98,6 +98,23 @@ class TestPerEnvironmentResults:
             "random", "random"
         ]
 
+    def test_spread_samples_only_the_given_type_profiles(self, monkeypatch):
+        game = MediatorGame(byzantine_agreement_game(3), 1, 0)
+        sample = game.sample_outcomes
+        seen = []
+
+        def recording(*args, **kwargs):
+            seen.append(kwargs["type_profiles"])
+            return sample(*args, **kwargs)
+
+        monkeypatch.setattr(game, "sample_outcomes", recording)
+        result = scheduler_proofness_spread(
+            game, [FifoScheduler(), RandomScheduler(1)],
+            samples_per_scheduler=2, type_profiles=[(0, 1, 1)],
+        )
+        assert seen == [[(0, 1, 1)], [(0, 1, 1)]]
+        assert len(result["per_scheduler"]) == 2
+
     def test_implementation_reports_every_environment(self):
         game = MediatorGame(consensus_game(3), 1, 0)
         report = check_implementation(

@@ -300,6 +300,110 @@ class TestPartitionSemantics:
         assert draws(other, 0, 1) != draws(two, 0, 1)  # seed moves fates
 
 
+# -- each hook runs only while the plan can act -------------------------------
+
+def run_faultcheck_cell(monkeypatch, plan, watch=()):
+    """Run ``faultcheck-thm41`` (fifo, seed 0) under ``plan``.
+
+    Returns the cell's kernel runtime and one ``(method, step, result)``
+    entry per call of each :class:`FaultInjector` method in ``watch``,
+    in call order.
+    """
+    runtimes = []
+    calls = []
+    run = Runtime.run
+
+    def recording_run(self):
+        runtimes.append(self)
+        return run(self)
+
+    monkeypatch.setattr(Runtime, "run", recording_run)
+    for name in watch:
+        def recording(self, *args, _name=name,
+                      _method=getattr(FaultInjector, name)):
+            result = _method(self, *args)
+            calls.append((_name, runtimes[-1]._step, result))
+            return result
+
+        monkeypatch.setattr(FaultInjector, name, recording)
+    spec = get_scenario("faultcheck-thm41").replace(
+        faults=(plan,), seed_count=1
+    )
+    with ExperimentRunner() as runner:
+        (record,) = runner.run(spec).records
+    assert record.ok, record.error
+    (runtime,) = runtimes
+    return runtime, calls
+
+
+class TestHookCosts:
+    """A plan acts on a few messages, so the kernel pays for a hook only
+    while the plan can still change a message's fate."""
+
+    def test_a_crash_builds_no_pool_index(self, monkeypatch):
+        runtime, _ = run_faultcheck_cell(monkeypatch, "crash@p0s5")
+        assert 0 in runtime.halted
+        assert not runtime.network._index.live
+
+    def test_fate_is_never_asked_under_a_crash_only_plan(self, monkeypatch):
+        runtime, calls = run_faultcheck_cell(
+            monkeypatch, "crash@p0s5+crash@p8s9", watch=("fate",)
+        )
+        assert {0, 8} <= runtime.halted
+        assert calls == []
+
+    def test_fate_is_not_asked_after_a_partition_heals(self, monkeypatch):
+        _, calls = run_faultcheck_cell(
+            monkeypatch, "partition@{0,1}t10h60",
+            watch=("fate", "mark_healed"),
+        )
+        names = [name for name, _, _ in calls]
+        healed = names.index("mark_healed")
+        assert "fate" in names[:healed]
+        assert "fate" not in names[healed:]
+
+    def test_no_delivery_is_logged_after_the_restart(self, monkeypatch):
+        runtime, calls = run_faultcheck_cell(
+            monkeypatch, "crash-restart@p2s6r40",
+            watch=("log_delivery", "restore"),
+        )
+        names = [name for name, _, _ in calls]
+        restored = names.index("restore")
+        assert "log_delivery" in names[:restored]
+        assert "log_delivery" not in names[restored:]
+        assert runtime._faults.inbox_log == {}
+
+    def test_due_events_runs_only_when_an_event_is_due(self, monkeypatch):
+        _, calls = run_faultcheck_cell(
+            monkeypatch, "crash-restart@p2s6r40", watch=("due_events",)
+        )
+        assert [
+            (step, [event.kind for event in due]) for _, step, due in calls
+        ] == [(6, ["crash"]), (40, ["restart"])]
+
+    def test_passive_while_fate_can_only_deliver_once(self):
+        procs = gossipers(4)
+        restart = injector_for("crash-restart@p1s3r9")
+        restart.reset(0, procs)
+        assert restart.passive
+        restart.go_down(1)
+        assert not restart.passive
+        assert restart.fate(0, 1, 4) == ("hold", ("restart", 1))
+        restart.restore(1)
+        assert restart.passive
+
+        cut = injector_for("partition@{0}t0h5")
+        cut.reset(0, procs)
+        assert not cut.passive
+        cut.mark_healed(0)
+        assert cut.passive
+
+        for plan in ("drop-0.1", "dup-0.1", "crash@p1s3+drop-0.1"):
+            lossy = injector_for(plan)
+            lossy.reset(0, procs)
+            assert not lossy.passive, plan
+
+
 # -- the faults axis through the experiment pipeline --------------------------
 
 class TestFaultsAxis:
@@ -337,7 +441,7 @@ class TestFaultsAxis:
             run_fingerprint,
         )
 
-        assert FINGERPRINT_VERSION == 3
+        assert FINGERPRINT_VERSION == 4
         spec = get_scenario("faultcheck-sec64").replace(
             seed_count=1, faults=("none", "crash@p0s5")
         )

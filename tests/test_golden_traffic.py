@@ -64,6 +64,21 @@ def _golden_specs() -> dict:
         "thm45-punishment": get_scenario("thm45-punishment"),
         "sec64-leak-attack-colluding": get_scenario("sec64-leak-attack"),
         "faultcheck-thm41": get_scenario("faultcheck-thm41"),
+        # The k+t+1 breaking plan: three crashes, two at one step.
+        "faultcheck-thm41-breaking": faultcheck.replace(
+            faults=("crash@p0s5+crash@p1s5+crash@p8s9",)
+        ),
+        # Every faultcheck plan under a non-fifo order: eager builds the
+        # pool index before the first crash and random never does, so
+        # both ways a halt or crash can find its messages stay pinned.
+        "faultcheck-thm41-random-eager": faultcheck.replace(
+            schedulers=("random", "eager"), seed_count=1
+        ),
+        # Held messages under lock-step: they leave the round and return
+        # in the round after their release.
+        "faultcheck-thm41-lockstep": faultcheck.replace(
+            timings=("lockstep",)
+        ),
         "netcheck-thm41-memory": get_scenario("netcheck-thm41"),
         # Every faultcheck plan under seeded latency, payloads traced:
         # pins release-time re-draws, the lazy heap's withdrawn-then-

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import recording_fifo
+from helpers import Chatty, recording_fifo
 from repro.sim import (
     BatchRandomScheduler,
     BoundedDelay,
@@ -12,7 +12,6 @@ from repro.sim import (
     FifoScheduler,
     LaggardScheduler,
     LockStep,
-    Process,
     RandomScheduler,
     RelaxedScheduler,
     Runtime,
@@ -128,23 +127,6 @@ class TestRelaxed:
     def test_is_relaxed_flags(self):
         assert RelaxedScheduler(FifoScheduler(), 1).is_relaxed()
         assert not FifoScheduler().is_relaxed()
-
-
-class Chatty(Process):
-    """Randomized workload: a burst at start, one relay per delivery."""
-
-    def __init__(self, n, budget=12):
-        self.n = n
-        self.budget = budget
-
-    def on_start(self, ctx):
-        for _ in range(3):
-            ctx.send(ctx.rng.randrange(self.n), ("chat", ctx.pid))
-
-    def on_message(self, ctx, sender, payload):
-        if self.budget > 0:
-            self.budget -= 1
-            ctx.send(ctx.rng.randrange(self.n), ("chat", ctx.pid))
 
 
 def _registered_schedulers(n):

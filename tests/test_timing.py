@@ -2,9 +2,14 @@
 
 import pytest
 
-from helpers import recording_fifo
+from helpers import Chatty, recording_fifo
 from repro.errors import ExperimentError, SimulationError, StepLimitExceeded
-from repro.experiments import ScenarioSpec, expand_grid, run_scenario
+from repro.experiments import (
+    ScenarioSpec,
+    expand_grid,
+    get_scenario,
+    run_scenario,
+)
 from repro.sim import (
     Asynchronous,
     BoundedDelay,
@@ -186,6 +191,64 @@ class TestLockStepKernel:
         )
         result = Runtime({0: done}, FifoScheduler(), timing=LockStep()).run()
         assert result.outputs == {0: "ok"}
+
+
+class TestLockStepUnderFaults:
+    """A message a fault plan holds leaves the lock-step round at once
+    and is eligible in the round after its release, so none is left in
+    transit and the scheduler is never offered a withdrawn one."""
+
+    def test_release_joins_the_next_round(self):
+        def echo(ctx, sender, payload):
+            if payload < 3:
+                ctx.send(2, payload + 1)
+
+        procs = {
+            0: FuncProcess(on_start=lambda ctx: ctx.send(1, "x")),
+            1: FuncProcess(on_message=lambda ctx, s, p: None),
+            2: FuncProcess(on_start=lambda ctx: ctx.send(2, 1),
+                           on_message=echo),
+        }
+        scheduler = recording_fifo()
+        runtime = Runtime(procs, scheduler, timing=LockStep(),
+                          faults="partition@{1}t0h5")
+        result = runtime.run()
+        # Uid 3 (0 -> 1, sent at step 1) crosses the cut and is held;
+        # pid 2 echoes itself one message a round. The heal fires after
+        # step 5, in round 3 (uid 5's), so uid 3 joins round 4 beside
+        # uid 6, the message sent in round 3.
+        assert scheduler.pools == [
+            [0, 1, 2], [1, 2], [2], [4], [5], [3, 6], [6]
+        ]
+        assert result.messages_delivered == result.messages_sent == 7
+        assert len(runtime.network) == 0
+
+    @pytest.mark.parametrize(
+        "plan", ["partition@{0,1}t10h60", "crash-restart@p2s6r40"]
+    )
+    def test_held_messages_are_delivered(self, plan):
+        runtime = Runtime(
+            {pid: Chatty(6) for pid in range(6)}, FifoScheduler(), seed=3,
+            timing=LockStep(), faults=plan,
+        )
+        result = runtime.run()
+        assert len(runtime.network) == 0
+        assert result.messages_dropped == 0
+        assert result.messages_delivered == result.messages_sent
+
+    @pytest.mark.parametrize("scheduler", ["fifo", "random"])
+    def test_crash_restart_cells_lose_nothing(self, scheduler):
+        # Under random at seed 2 the crash withdraws pid 2's start signal
+        # from the round pool before its delivery.
+        spec = get_scenario("faultcheck-thm41").replace(
+            faults=("crash-restart@p2s6r40",), timings=("lockstep",),
+            schedulers=(scheduler,), seed_count=3,
+        )
+        for record in run_scenario(spec).records:
+            assert record.ok, record.error
+            assert record.messages_sent == (
+                record.messages_delivered + record.messages_dropped
+            ), record.seed
 
 
 class Pinger(Process):
